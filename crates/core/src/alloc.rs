@@ -246,11 +246,6 @@ impl PuddleAlloc {
     /// Allocates `size` bytes for an object of type `type_id`, returning the
     /// object's address.
     pub fn alloc(&self, size: usize, type_id: u64, logger: &mut dyn MetaLogger) -> Result<usize> {
-        if puddles_pmem::failpoint::should_fail(puddles_pmem::failpoint::names::ALLOC_METADATA) {
-            return Err(Error::CrashInjected(
-                puddles_pmem::failpoint::names::ALLOC_METADATA,
-            ));
-        }
         let size = size.max(1);
         if size <= SLAB_MAX {
             self.slab_alloc(size, type_id, logger)

@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use puddled::{Daemon, GlobalSpace, LOG_REGION_OFFSET};
 use puddles_logfmt::{LogRef, LogSpaceRef};
 use puddles_pmem::clock::{entropy_seed, Clock};
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{self, CrashPoint, FaultPlan};
 use puddles_proto::{
     Credentials, Endpoint, PoolInfo, PuddleId, PuddleInfo, PuddlePurpose, RecoveryReport, Request,
     Response,
@@ -84,6 +84,10 @@ pub(crate) struct ClientInner {
     /// Client-local observability counters (retries, reconnects, pipeline
     /// depth), shared with the endpoint; all-zero for in-process endpoints.
     client_metrics: Arc<ClientMetrics>,
+    /// Crash points of the in-process daemon's fault plan, which its
+    /// clients inherit (one daemon plus its clients model one machine);
+    /// `None` for socket clients and plan-less daemons.
+    pub(crate) faults: Option<Arc<FaultPlan>>,
 }
 
 #[derive(Default)]
@@ -127,7 +131,9 @@ impl PuddleClient {
     }
 
     /// Connects to an in-process daemon presenting explicit credentials
-    /// (used by tests to model multiple users).
+    /// (used by tests to model multiple users). The client inherits the
+    /// daemon's fault plan, so crash points armed on it fire in this
+    /// client's transactions too.
     pub fn connect_local_as(daemon: &Daemon, creds: Credentials) -> Result<Self> {
         let endpoint = Box::new(daemon.endpoint(creds));
         let gspace = daemon.global_space();
@@ -136,6 +142,7 @@ impl PuddleClient {
             Some(gspace),
             creds,
             Arc::new(ClientMetrics::default()),
+            daemon.pm_dir().fault_plan().cloned(),
         )
     }
 
@@ -159,7 +166,7 @@ impl PuddleClient {
         let endpoint = Box::new(
             PipelinedEndpoint::new(path.as_ref(), retry).with_client_metrics(Arc::clone(&metrics)),
         );
-        Self::finish_connect(endpoint, None, creds, metrics)
+        Self::finish_connect(endpoint, None, creds, metrics, None)
     }
 
     /// Connects over the UNIX-domain socket speaking the legacy v1 protocol
@@ -172,7 +179,7 @@ impl PuddleClient {
             UdsEndpoint::new(path.as_ref(), RetryPolicy::default())
                 .with_client_metrics(Arc::clone(&metrics)),
         );
-        Self::finish_connect(endpoint, None, creds, metrics)
+        Self::finish_connect(endpoint, None, creds, metrics, None)
     }
 
     /// Connects over the UNIX-domain socket while sharing an existing
@@ -214,7 +221,7 @@ impl PuddleClient {
                 .with_requested_depth(pool_depth)
                 .with_client_metrics(Arc::clone(&metrics)),
         );
-        Self::finish_connect(endpoint, Some(space), creds, metrics)
+        Self::finish_connect(endpoint, Some(space), creds, metrics, None)
     }
 
     fn finish_connect(
@@ -222,6 +229,7 @@ impl PuddleClient {
         shared_space: Option<Arc<GlobalSpace>>,
         creds: Credentials,
         client_metrics: Arc<ClientMetrics>,
+        faults: Option<Arc<FaultPlan>>,
     ) -> Result<Self> {
         let resp = endpoint.call(&Request::hello(creds))?.into_result()?;
         let (space_base, space_size) = match resp {
@@ -258,6 +266,7 @@ impl PuddleClient {
                 spare_logs: Mutex::new(Vec::new()),
                 chain_depth_hwm: std::sync::atomic::AtomicUsize::new(0),
                 client_metrics,
+                faults,
             }),
         })
     }
@@ -665,12 +674,10 @@ impl ClientInner {
                 Response::Puddle(info) => info,
                 other => return Err(Error::UnexpectedResponse(format!("{other:?}"))),
             };
-            if failpoint::should_fail(failpoint::names::LOGSPACE_ALLOC_CRASH) {
-                // Crash window: the LogSpace puddle exists daemon-side but
-                // carries no LogSpaceRecord yet — only the daemon's startup
-                // sweep of unregistered LogSpace puddles can reclaim it.
-                return Err(Error::CrashInjected(failpoint::names::LOGSPACE_ALLOC_CRASH));
-            }
+            // Crash window: the LogSpace puddle exists daemon-side but
+            // carries no LogSpaceRecord yet — only the daemon's startup
+            // sweep of unregistered LogSpace puddles can reclaim it.
+            faultio::crash(self.faults.as_deref(), CrashPoint::LogSpaceAlloc)?;
             let addr = self.map_puddle_raw(&info)?;
             // SAFETY: mapped writable just above; stays mapped for the
             // client's lifetime.

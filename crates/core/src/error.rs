@@ -1,5 +1,6 @@
 //! Error type for the Puddles client library.
 
+use puddles_pmem::faultio::CrashPoint;
 use puddles_pmem::PmError;
 use puddles_proto::ProtoError;
 use std::fmt;
@@ -35,9 +36,9 @@ pub enum Error {
     InvalidAddress(u64),
     /// Persistent data failed a validity check.
     Corruption(String),
-    /// A crash was injected by a failpoint (tests only); persistent state is
-    /// intentionally left as-is for recovery.
-    CrashInjected(&'static str),
+    /// A crash was injected at an armed crash point (tests only);
+    /// persistent state is intentionally left as-is for recovery.
+    CrashInjected(CrashPoint),
     /// A transaction was aborted by the user closure.
     Aborted(String),
     /// Transactions cannot be nested.
@@ -58,7 +59,7 @@ impl fmt::Display for Error {
             ),
             Error::InvalidAddress(addr) => write!(f, "address {addr:#x} is not managed here"),
             Error::Corruption(msg) => write!(f, "corruption detected: {msg}"),
-            Error::CrashInjected(name) => write!(f, "crash injected at failpoint `{name}`"),
+            Error::CrashInjected(point) => write!(f, "crash injected at `{point}`"),
             Error::Aborted(msg) => write!(f, "transaction aborted: {msg}"),
             Error::NestedTransaction => write!(f, "transactions cannot be nested"),
         }
@@ -79,7 +80,7 @@ impl std::error::Error for Error {
 impl From<PmError> for Error {
     fn from(e: PmError) -> Self {
         match e {
-            PmError::CrashInjected(name) => Error::CrashInjected(name),
+            PmError::CrashInjected(point) => Error::CrashInjected(point),
             // LogFull is an internal chain-extension signal, not a failure:
             // the transaction layer intercepts it and grows the log. It is
             // deliberately NOT mapped to TxTooLarge — that error is raised
@@ -116,7 +117,7 @@ mod tests {
 
     #[test]
     fn crash_injection_is_detected_through_conversions() {
-        let e: Error = PmError::CrashInjected("x").into();
+        let e: Error = PmError::CrashInjected(CrashPoint::LogAppendCrash).into();
         assert!(e.is_injected_crash());
         let e: Error = PmError::Corruption("y".into()).into();
         assert!(!e.is_injected_crash());

@@ -100,7 +100,8 @@ impl MappedPuddle {
             other => return Err(Error::UnexpectedResponse(format!("{other:?}"))),
         };
         let types = self.client.merged_types()?;
-        reloc::rewrite_puddle(&self.alloc, &translations, &types);
+        let faults = self.client.faults.as_deref();
+        reloc::rewrite_puddle(&self.alloc, &translations, &types, faults)?;
         // Record the address the pointers are now written for.
         // SAFETY: header region of a writable mapping.
         unsafe {

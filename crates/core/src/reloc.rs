@@ -14,7 +14,9 @@
 //! rewritten when they are mapped in turn.
 
 use crate::alloc::PuddleAlloc;
+use crate::error::Result;
 use crate::types::TypeRegistry;
+use puddles_pmem::faultio::{self, CrashPoint, FaultPlan};
 use puddles_pmem::persist;
 use puddles_proto::Translation;
 
@@ -34,11 +36,17 @@ pub struct RewriteStats {
 
 /// Rewrites every pointer in the puddle managed by `alloc` according to
 /// `translations`, using `types` to locate pointer fields.
+///
+/// `faults` may crash the pass after any object
+/// ([`CrashPoint::RelocMidRewrite`]): some pointers are then rewritten and
+/// some not, and the error tells the caller not to mark the puddle
+/// rewritten, so the pass re-runs (idempotently) on the next mapping.
 pub fn rewrite_puddle(
     alloc: &PuddleAlloc,
     translations: &[Translation],
     types: &TypeRegistry,
-) -> RewriteStats {
+    faults: Option<&FaultPlan>,
+) -> Result<RewriteStats> {
     let mut stats = RewriteStats::default();
     for obj in alloc.walk() {
         stats.objects += 1;
@@ -70,15 +78,10 @@ pub fn rewrite_puddle(
                 None => stats.untranslated += 1,
             }
         }
-        if puddles_pmem::failpoint::should_fail(puddles_pmem::failpoint::names::RELOC_MID_REWRITE) {
-            // A crash here leaves some pointers rewritten and some not; the
-            // daemon still has the puddle flagged `needs_rewrite`, so the
-            // rewrite re-runs (idempotently) on the next mapping.
-            break;
-        }
+        faultio::crash(faults, CrashPoint::RelocMidRewrite)?;
     }
     persist::sfence();
-    stats
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -144,7 +147,7 @@ mod tests {
             new_addr: 0x7000_0000,
             len: 0x10_0000,
         }];
-        let stats = rewrite_puddle(&h.alloc, &translations, &registry());
+        let stats = rewrite_puddle(&h.alloc, &translations, &registry(), None).unwrap();
         assert_eq!(stats.objects, 2);
         assert_eq!(stats.rewritten, 2);
         assert_eq!(stats.untranslated, 1);
@@ -174,11 +177,11 @@ mod tests {
             len: 0x1000,
         }];
         let reg = registry();
-        let s1 = rewrite_puddle(&h.alloc, &translations, &reg);
+        let s1 = rewrite_puddle(&h.alloc, &translations, &reg, None).unwrap();
         assert_eq!(s1.rewritten, 1);
         // Second pass: the pointer now points outside the old range, so it
         // is untranslated and unchanged.
-        let s2 = rewrite_puddle(&h.alloc, &translations, &reg);
+        let s2 = rewrite_puddle(&h.alloc, &translations, &reg, None).unwrap();
         assert_eq!(s2.rewritten, 0);
         // SAFETY: valid allocation.
         unsafe {
@@ -199,7 +202,7 @@ mod tests {
             new_addr: 0x9000_0000,
             len: 0x1000,
         }];
-        let stats = rewrite_puddle(&h.alloc, &translations, &registry());
+        let stats = rewrite_puddle(&h.alloc, &translations, &registry(), None).unwrap();
         assert_eq!(stats.objects, 1);
         assert_eq!(stats.pointers, 0);
         // SAFETY: as above.
@@ -229,14 +232,16 @@ mod tests {
             new_addr: 0x8000_0000,
             len: 0x1000,
         }];
-        puddles_pmem::failpoint::arm(puddles_pmem::failpoint::names::RELOC_MID_REWRITE, 1);
-        let s1 = rewrite_puddle(&h.alloc, &translations, &reg);
-        puddles_pmem::failpoint::clear_all();
-        assert!(s1.rewritten < 4, "crash should interrupt the rewrite");
+        // Crash after the second object: its pointers are rewritten, the
+        // last two objects' are not.
+        let plan = FaultPlan::new(0, puddles_pmem::faultio::FaultProfile::default());
+        plan.arm_crash(CrashPoint::RelocMidRewrite, 1);
+        let err = rewrite_puddle(&h.alloc, &translations, &reg, Some(&plan)).unwrap_err();
+        assert!(err.is_injected_crash(), "got {err}");
         // Resume: the remaining pointers get rewritten; already-rewritten
         // ones are untouched (their values no longer match the old range).
-        let s2 = rewrite_puddle(&h.alloc, &translations, &reg);
-        assert_eq!(s1.rewritten + s2.rewritten, 4);
+        let s2 = rewrite_puddle(&h.alloc, &translations, &reg, Some(&plan)).unwrap();
+        assert_eq!(s2.rewritten, 2);
         for a in addrs {
             // SAFETY: valid allocation.
             unsafe {

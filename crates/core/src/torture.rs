@@ -41,8 +41,8 @@
 //! Faults are disabled during recovery + verification ([`FaultPlan`]
 //! `set_enabled(false)`): the fault plane models failing *production*
 //! I/O, and verifying through an unreliable lens would make every check
-//! vacuous. Recovery-under-fault is covered separately by the failpoint
-//! crash tests (`wal_crash`, `crash_sweep`).
+//! vacuous. Recovery-under-fault is covered separately by the crash-point
+//! tests (`wal_crash`, `crash_sweep`).
 //!
 //! Consumed by `crates/puddled/tests/torture.rs` (bounded in-tree sweep +
 //! the same-seed replay gate) and the `torture_sweep` bench binary (deep

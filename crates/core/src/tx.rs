@@ -29,12 +29,12 @@
 //! cache evicts lines in arbitrary order, a power failure could persist
 //! the mutated data while the (flushed but unfenced) undo entry is still
 //! in cache, leaving that location unrecoverable. This reproduction's
-//! crash model makes the race unobservable — crashes are failpoint-driven
-//! process exits over mmap-backed "PM", so every executed store is
-//! durable and tearing exists only where failpoints inject it — but a port
-//! to real PM must fence between a *first-touch* undo append and the store
-//! it guards (dedup already makes later touches fence-free). Tracked in
-//! ROADMAP.
+//! crash model makes the race unobservable — a crash is an armed
+//! [`CrashPoint`] of the client's fault plan aborting the operation over
+//! mmap-backed "PM", so every executed store is durable and tearing exists
+//! only where a crash point injects it — but a port to real PM must fence
+//! between a *first-touch* undo append and the store it guards (dedup
+//! already makes later touches fence-free). Tracked in ROADMAP.
 //!
 //! A crash anywhere in this sequence leaves the log in a state from which
 //! the daemon's recovery (stage-aware replay) produces a consistent result:
@@ -49,7 +49,7 @@ use puddles_logfmt::{
     chain_iter, replay_chain, segment_payload_capacity, DirectMemoryTarget, EntryKind, LogWriter,
     ReplayOrder, RANGE_REDO, SEQ_REDO, SEQ_UNDO,
 };
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{self, CrashPoint};
 use puddles_pmem::persist;
 use puddles_pmem::{PmError, CACHELINE};
 use puddles_proto::PuddleInfo;
@@ -135,13 +135,9 @@ impl<'c> Transaction<'c> {
             }
             Err(e) => return Err(e),
         };
-        if failpoint::should_fail(failpoint::names::LOG_CHAIN_ALLOC_CRASH) {
-            // Crash window: the puddle exists daemon-side but no log space
-            // references it yet — only the startup sweep can reclaim it.
-            return Err(Error::CrashInjected(
-                failpoint::names::LOG_CHAIN_ALLOC_CRASH,
-            ));
-        }
+        // Crash window: the puddle exists daemon-side but no log space
+        // references it yet — only the startup sweep can reclaim it.
+        faultio::crash(self.client.faults.as_deref(), CrashPoint::LogChainAlloc)?;
         let chain_index = self.chain.len() as u32 + 1;
         // Track the segment before registering it: if registration fails,
         // the abort path still releases the acquired puddle.
@@ -156,11 +152,7 @@ impl<'c> Transaction<'c> {
                 Error::Pm(PmError::OutOfRange { .. }) => Error::TxTooLarge { need, free },
                 other => other,
             })?;
-        if failpoint::should_fail(failpoint::names::LOG_CHAIN_REGISTER_CRASH) {
-            return Err(Error::CrashInjected(
-                failpoint::names::LOG_CHAIN_REGISTER_CRASH,
-            ));
-        }
+        faultio::crash(self.client.faults.as_deref(), CrashPoint::LogChainRegister)?;
         Ok(())
     }
 
@@ -277,6 +269,7 @@ impl<'c> Transaction<'c> {
     }
 
     fn commit(&mut self) -> Result<()> {
+        let faults = self.client.faults.as_deref();
         // Stage 1: make every undo-logged location durable. Spans are
         // sorted and disjoint, so tracking the last flushed cache line
         // ensures a line shared by two spans is flushed once. The closing
@@ -292,18 +285,10 @@ impl<'c> Transaction<'c> {
             }
         }
         persist::sfence();
-        if failpoint::should_fail(failpoint::names::COMMIT_AFTER_UNDO_FLUSH) {
-            return Err(Error::CrashInjected(
-                failpoint::names::COMMIT_AFTER_UNDO_FLUSH,
-            ));
-        }
+        faultio::crash(faults, CrashPoint::CommitAfterUndoFlush)?;
         // Publish stage 2: only redo entries are live from here on.
         self.writer.set_seq_range(RANGE_REDO);
-        if failpoint::should_fail(failpoint::names::COMMIT_BEFORE_REDO_APPLY) {
-            return Err(Error::CrashInjected(
-                failpoint::names::COMMIT_BEFORE_REDO_APPLY,
-            ));
-        }
+        faultio::crash(faults, CrashPoint::CommitBeforeRedoApply)?;
 
         // Stage 2: apply the redo entries in logging order, copying each
         // payload straight out of the log memory (zero-copy), stitched
@@ -322,19 +307,15 @@ impl<'c> Transaction<'c> {
             }
             persist::flush(hdr.addr as *const u8, data.len());
             applied += 1;
-            if applied == 1 && failpoint::should_fail(failpoint::names::COMMIT_MID_REDO_APPLY) {
-                persist::sfence();
-                return Err(Error::CrashInjected(
-                    failpoint::names::COMMIT_MID_REDO_APPLY,
-                ));
+            if applied == 1 {
+                if let Err(crash) = faultio::crash(faults, CrashPoint::CommitMidRedoApply) {
+                    persist::sfence();
+                    return Err(crash.into());
+                }
             }
         }
         persist::sfence();
-        if failpoint::should_fail(failpoint::names::COMMIT_BEFORE_INVALIDATE) {
-            return Err(Error::CrashInjected(
-                failpoint::names::COMMIT_BEFORE_INVALIDATE,
-            ));
-        }
+        faultio::crash(faults, CrashPoint::CommitBeforeInvalidate)?;
 
         // Stage 3: the transaction is complete; drop the log (the head
         // reset is the single fenced write invalidating the whole chain)
@@ -382,7 +363,7 @@ fn run_tx_inner<R>(
 ) -> Result<R> {
     // One fenced header write starts the transaction: bump the generation
     // (orphaning any leftover entries) and publish the exec-stage range.
-    let writer = LogWriter::begin(handle.log)?;
+    let writer = LogWriter::begin(handle.log)?.with_faults(client.faults.clone());
     let mut tx = Transaction {
         client,
         writer,

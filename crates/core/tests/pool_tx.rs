@@ -3,6 +3,8 @@
 
 use puddled::{Daemon, DaemonConfig};
 use puddles::{impl_pm_type, Error, PmPtr, PmType, PoolOptions, PuddleClient};
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
+use std::sync::Arc;
 
 #[repr(C)]
 struct Counter {
@@ -25,14 +27,12 @@ struct ListRoot {
 }
 impl_pm_type!(ListRoot, "pool_tx::ListRoot", [head => Node]);
 
-/// Serializes the tests that arm process-global failpoints AND the
-/// append-heavy chaining tests: an armed countdown (e.g. `LOG_APPEND_CRASH`
-/// after N) decrements on every append from any thread, so a concurrently
-/// running transaction-heavy test would otherwise consume it (or crash on
-/// it) and make both tests flaky.
-fn failpoint_lock() -> parking_lot::MutexGuard<'static, ()> {
-    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    LOCK.lock()
+/// Starts a daemon whose fault plan injects nothing until a test arms one
+/// of its crash points; in-process clients inherit the plan.
+fn start_crashable(config: &DaemonConfig) -> (Daemon, Arc<FaultPlan>) {
+    let plan = FaultPlan::new(0, FaultProfile::default());
+    let daemon = Daemon::start(config.clone().with_fault_plan(Arc::clone(&plan))).unwrap();
+    (daemon, plan)
 }
 
 fn setup() -> (tempfile::TempDir, DaemonConfig, Daemon, PuddleClient) {
@@ -240,21 +240,18 @@ fn pool_grows_beyond_one_puddle() {
 
 #[test]
 fn crash_during_commit_is_recovered_by_the_system() {
-    use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
-
-    let failpoints = [
-        failpoint::names::COMMIT_AFTER_UNDO_FLUSH,
-        failpoint::names::COMMIT_BEFORE_REDO_APPLY,
-        failpoint::names::COMMIT_MID_REDO_APPLY,
-        failpoint::names::COMMIT_BEFORE_INVALIDATE,
+    let points = [
+        CrashPoint::CommitAfterUndoFlush,
+        CrashPoint::CommitBeforeRedoApply,
+        CrashPoint::CommitMidRedoApply,
+        CrashPoint::CommitBeforeInvalidate,
     ];
-    for (i, fp) in failpoints.iter().enumerate() {
+    for (i, fp) in points.into_iter().enumerate() {
         let tmp = tempfile::tempdir().unwrap();
         let config = DaemonConfig::for_testing(tmp.path());
         let pool_name = format!("crash-{i}");
         {
-            let daemon = Daemon::start(config.clone()).unwrap();
+            let (daemon, plan) = start_crashable(&config);
             let client = PuddleClient::connect_local(&daemon).unwrap();
             let pool = client
                 .create_pool(&pool_name, PoolOptions::default())
@@ -273,7 +270,7 @@ fn crash_during_commit_is_recovered_by_the_system() {
 
             // A hybrid transaction: undo-logged update of `value`,
             // redo-logged update of `touched`; crash at the chosen stage.
-            failpoint::arm(fp, 0);
+            plan.arm_crash(fp, 0);
             let err = pool
                 .tx(|tx| {
                     let c = pool.deref_mut(root)?;
@@ -282,7 +279,6 @@ fn crash_during_commit_is_recovered_by_the_system() {
                     Ok(())
                 })
                 .unwrap_err();
-            failpoint::clear_all();
             assert!(
                 err.is_injected_crash(),
                 "{fp}: expected injected crash, got {err}"
@@ -306,11 +302,11 @@ fn crash_during_commit_is_recovered_by_the_system() {
         );
         // Stage-specific expectation: before the redo stage is published the
         // transaction must roll back; at or after it, it must roll forward.
-        match *fp {
-            x if x == failpoint::names::COMMIT_AFTER_UNDO_FLUSH => {
+        match fp {
+            CrashPoint::CommitAfterUndoFlush => {
                 assert_eq!(counter.value, 100, "{fp}: expected rollback");
             }
-            x if x == failpoint::names::COMMIT_BEFORE_INVALIDATE => {
+            CrashPoint::CommitBeforeInvalidate => {
                 assert_eq!(counter.value, 200, "{fp}: expected roll-forward");
                 assert_eq!(counter.touched, 2);
             }
@@ -321,9 +317,6 @@ fn crash_during_commit_is_recovered_by_the_system() {
 
 #[test]
 fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
-    use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
-
     // The volatile-cursor log keeps no durable head pointer: after a crash
     // mid-body, recovery must replay exactly the checksummed prefix of
     // unfenced appends. The body issues three appends (undo `value`, undo
@@ -335,7 +328,7 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
         let tmp = tempfile::tempdir().unwrap();
         let config = DaemonConfig::for_testing(tmp.path());
         {
-            let daemon = Daemon::start(config.clone()).unwrap();
+            let (daemon, plan) = start_crashable(&config);
             let client = PuddleClient::connect_local(&daemon).unwrap();
             let pool = client
                 .create_pool("prefix", PoolOptions::default())
@@ -352,7 +345,7 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
             .unwrap();
             let root: PmPtr<Counter> = pool.root().unwrap();
 
-            failpoint::arm(failpoint::names::LOG_APPEND_CRASH, n);
+            plan.arm_crash(CrashPoint::LogAppendCrash, n);
             let err = pool
                 .tx(|tx| {
                     let c = pool.deref_mut(root)?;
@@ -362,7 +355,6 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
                     Ok(())
                 })
                 .unwrap_err();
-            failpoint::clear_all();
             assert!(err.is_injected_crash(), "n={n}: got {err}");
         }
 
@@ -432,7 +424,6 @@ fn relogging_a_covered_range_appends_nothing() {
 
 #[test]
 fn oversized_transaction_chains_and_tx_too_large_needs_daemon_refusal() {
-    let _guard = failpoint_lock();
     let (_tmp, _config, _daemon, client) = setup();
     let pool = client.create_pool("huge", PoolOptions::default()).unwrap();
     // Redo-log more bytes than one 4 MiB log puddle can hold: since PR 4
@@ -457,7 +448,6 @@ fn oversized_transaction_chains_and_tx_too_large_needs_daemon_refusal() {
 
 #[test]
 fn tx_too_large_is_raised_only_when_the_daemon_refuses_a_log_puddle() {
-    let _guard = failpoint_lock();
     // A daemon with a deliberately tiny global space: the pool, log space,
     // thread log and a couple of chained segments fit, then CreatePuddle
     // fails with OutOfSpace — only then may TxTooLarge surface.
@@ -519,7 +509,6 @@ fn tx_too_large_is_raised_only_when_the_daemon_refuses_a_log_puddle() {
 
 #[test]
 fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
-    let _guard = failpoint_lock();
     // The capacity-accounting regression: fill the log to exactly
     // free_bytes == 0, then one more entry must chain (not fail), and the
     // chained segment must be released back to the daemon after commit.
@@ -573,7 +562,6 @@ fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
 
 #[test]
 fn spare_log_cache_parks_tails_and_frees_them_on_disconnect() {
-    let _guard = failpoint_lock();
     let (_tmp, _config, daemon, client) = setup();
     // A second client observes daemon state after the first disconnects.
     let observer = PuddleClient::connect_local(&daemon).unwrap();
@@ -624,7 +612,6 @@ fn spare_log_cache_parks_tails_and_frees_them_on_disconnect() {
 
 #[test]
 fn max_segment_payload_chains_and_oversized_payload_is_rejected() {
-    let _guard = failpoint_lock();
     // Boundary of the never-fits check: when the active segment is full, a
     // payload of *exactly* a fresh segment's capacity must chain and
     // commit; one byte more can never fit any segment and must be
@@ -726,22 +713,16 @@ fn assert_chain_rolled_back(pool: &puddles::Pool, addr: usize, context: &str) {
 
 #[test]
 fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
-    use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
-
     // Crash (a) after the daemon allocated the next chain segment but
     // before it was registered — the unreferenced puddle is swept at the
     // next daemon startup; (b) after registration but before the first
     // append — recovery treats the empty tail as benign and reclaims it.
-    for fp in [
-        failpoint::names::LOG_CHAIN_ALLOC_CRASH,
-        failpoint::names::LOG_CHAIN_REGISTER_CRASH,
-    ] {
+    for fp in [CrashPoint::LogChainAlloc, CrashPoint::LogChainRegister] {
         let tmp = tempfile::tempdir().unwrap();
         let config = DaemonConfig::for_testing(tmp.path());
         let addr;
         {
-            let daemon = Daemon::start(config.clone()).unwrap();
+            let (daemon, plan) = start_crashable(&config);
             let client = PuddleClient::connect_local(&daemon).unwrap();
             let pool = client
                 .create_pool("chaincrash", PoolOptions::default())
@@ -749,9 +730,8 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
             addr = chain_crash_setup(&client, &pool);
             let root: PmPtr<Counter> = pool.root().unwrap();
 
-            failpoint::arm(fp, 0);
+            plan.arm_crash(fp, 0);
             let err = pool.tx(chain_crash_body(&pool, root, addr)).unwrap_err();
-            failpoint::clear_all();
             assert!(err.is_injected_crash(), "{fp}: got {err}");
         }
 
@@ -760,7 +740,7 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
         let client = PuddleClient::connect_local(&daemon).unwrap();
         let report = client.recover().unwrap();
         match fp {
-            x if x == failpoint::names::LOG_CHAIN_ALLOC_CRASH => {
+            CrashPoint::LogChainAlloc => {
                 // The never-registered segment was already swept at startup.
                 assert!(
                     client.stats().unwrap().log_puddles_swept >= 1,
@@ -777,15 +757,12 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
             }
         }
         let pool = client.open_pool("chaincrash").unwrap();
-        assert_chain_rolled_back(&pool, addr, fp);
+        assert_chain_rolled_back(&pool, addr, fp.name());
     }
 }
 
 #[test]
 fn crash_mid_chain_rolls_back_across_segment_boundaries() {
-    use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
-
     // Crash after N unfenced appends with N chosen to land in the *second*
     // chain segment: recovery must stitch (log_id, chain_index) segments,
     // replay the undo entries of both, and reclaim the tail.
@@ -794,7 +771,7 @@ fn crash_mid_chain_rolls_back_across_segment_boundaries() {
         let config = DaemonConfig::for_testing(tmp.path());
         let addr;
         {
-            let daemon = Daemon::start(config.clone()).unwrap();
+            let (daemon, plan) = start_crashable(&config);
             let client = PuddleClient::connect_local(&daemon).unwrap();
             let pool = client
                 .create_pool("midchain", PoolOptions::default())
@@ -802,9 +779,8 @@ fn crash_mid_chain_rolls_back_across_segment_boundaries() {
             addr = chain_crash_setup(&client, &pool);
             let root: PmPtr<Counter> = pool.root().unwrap();
 
-            failpoint::arm(failpoint::names::LOG_APPEND_CRASH, n);
+            plan.arm_crash(CrashPoint::LogAppendCrash, n);
             let err = pool.tx(chain_crash_body(&pool, root, addr)).unwrap_err();
-            failpoint::clear_all();
             assert!(err.is_injected_crash(), "n={n}: got {err}");
         }
 
@@ -877,6 +853,54 @@ fn export_import_rewrites_pointers_and_keeps_both_copies_open() {
         copy.deref(copy.root::<ListRoot>().unwrap()).unwrap().len,
         51
     );
+}
+
+#[test]
+fn crash_mid_rewrite_leaves_the_import_for_the_next_open_to_finish() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (daemon, plan) = start_crashable(&DaemonConfig::for_testing(tmp.path()));
+    let client = PuddleClient::connect_local(&daemon).unwrap();
+    let pool = client
+        .create_pool("source", PoolOptions::default())
+        .unwrap();
+    pool.tx(|tx| {
+        pool.create_root(
+            tx,
+            ListRoot {
+                head: PmPtr::null(),
+                len: 0,
+            },
+        )
+    })
+    .unwrap();
+    for v in 0..50 {
+        push_front(&pool, v);
+    }
+    let original = list_values(&pool);
+    let export_dir = tmp.path().join("export");
+    client.export_pool("source", &export_dir).unwrap();
+
+    // The copy conflicts with every original address; crash after a few
+    // objects were rewritten, leaving the puddle half translated.
+    plan.arm_crash(CrashPoint::RelocMidRewrite, 5);
+    match client.import_pool(&export_dir, "copy") {
+        Err(Error::CrashInjected(CrashPoint::RelocMidRewrite)) => {}
+        Err(e) => panic!("expected the injected rewrite crash, got {e}"),
+        Ok(_) => panic!("import completed despite the armed crash"),
+    }
+    assert_eq!(plan.trace(), vec!["reloc.mid_rewrite#0: crash".to_string()]);
+    drop(pool);
+    drop(client);
+
+    // The crashed mapping never reported MarkRewritten, so the next open
+    // rewrites again; translation is idempotent on the rewritten prefix.
+    let client = PuddleClient::connect_local(&daemon).unwrap();
+    let copy = client.open_pool("copy").unwrap();
+    assert_eq!(list_values(&copy), original);
+    let source = client.open_pool("source").unwrap();
+    push_front(&copy, 999);
+    assert_eq!(list_values(&source), original);
+    assert_eq!(list_values(&copy).len(), 51);
 }
 
 #[test]

@@ -23,10 +23,11 @@
 //! generation mismatch instead of being replayed.
 
 use crate::entry::{EntryKind, LogEntryHeader, ReplayOrder, ENTRY_ALIGN, ENTRY_HEADER_SIZE};
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{self, CrashPoint, FaultPlan};
 use puddles_pmem::persist;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
+use std::sync::Arc;
 
 /// Magic number identifying an initialized log area.
 pub const LOG_MAGIC: u64 = 0x5055_4444_4c4f_4732; // "PUDDLOG2"
@@ -223,14 +224,7 @@ impl LogRef {
                 free: self.capacity.saturating_sub(off),
             });
         }
-        let torn = self.write_entry(off, &entry, data);
-        if torn {
-            hdr.head_off = (off + need) as u64;
-            hdr.tail_off = off as u64;
-            hdr.num_entries += 1;
-            self.write_header(hdr);
-            return Err(PmError::CrashInjected(failpoint::names::LOG_APPEND_TORN));
-        }
+        self.write_entry(off, &entry, data, false);
         persist::sfence();
 
         hdr.head_off = (off + need) as u64;
@@ -240,11 +234,11 @@ impl LogRef {
         Ok(())
     }
 
-    /// Writes (and flushes, without fencing) one entry at `off`, honouring
-    /// the torn-append failpoint. Returns `true` if the append was torn.
+    /// Writes (and flushes, without fencing) one entry at `off`; a `torn`
+    /// entry is corrupted as a power failure mid-append would leave it.
     ///
     /// The caller has bounds-checked `off + entry.stored_size() <= capacity`.
-    fn write_entry(&self, off: usize, entry: &LogEntryHeader, data: &[u8]) -> bool {
+    fn write_entry(&self, off: usize, entry: &LogEntryHeader, data: &[u8], torn: bool) {
         // SAFETY: the destination lies inside the log area covered by the
         // `from_raw` contract (caller bounds check); the source is a valid
         // local value / caller-provided slice.
@@ -253,7 +247,6 @@ impl LogRef {
             std::ptr::write_unaligned(dst as *mut LogEntryHeader, *entry);
             std::ptr::copy_nonoverlapping(data.as_ptr(), dst.add(ENTRY_HEADER_SIZE), data.len());
         }
-        let torn = failpoint::should_fail(failpoint::names::LOG_APPEND_TORN);
         if torn {
             // Simulate a power failure that persisted the header and part of
             // the payload: corrupt one byte (as if the tail cache line never
@@ -270,7 +263,6 @@ impl LogRef {
         }
         // SAFETY: in-range pointer as established above.
         persist::flush(unsafe { self.base.add(off) }, entry.stored_size());
-        torn
     }
 
     /// Advances the generation in `hdr`, invalidating every existing entry
@@ -456,6 +448,8 @@ pub struct LogWriter {
     entries: u64,
     /// Generation of the active segment, stamped into appended entries.
     gen: u32,
+    /// Crash points consulted by [`LogWriter::append`] (tests only).
+    faults: Option<Arc<FaultPlan>>,
 }
 
 impl LogWriter {
@@ -469,7 +463,16 @@ impl LogWriter {
             head: LOG_HEADER_SIZE,
             entries: 0,
             gen,
+            faults: None,
         })
+    }
+
+    /// Consults `faults` for the append crash points
+    /// ([`CrashPoint::LogAppendCrash`], [`CrashPoint::LogAppendTorn`]);
+    /// `None` injects nothing.
+    pub fn with_faults(mut self, faults: Option<Arc<FaultPlan>>) -> LogWriter {
+        self.faults = faults;
+        self
     }
 
     /// One fenced header write that (re)starts `log` for the current
@@ -527,9 +530,7 @@ impl LogWriter {
         kind: EntryKind,
         data: &[u8],
     ) -> Result<()> {
-        if failpoint::should_fail(failpoint::names::LOG_APPEND_CRASH) {
-            return Err(PmError::CrashInjected(failpoint::names::LOG_APPEND_CRASH));
-        }
+        faultio::crash(self.faults.as_deref(), CrashPoint::LogAppendCrash)?;
         let active = self.active();
         let entry = LogEntryHeader::new(addr, seq, order, kind, self.gen, data);
         let need = entry.stored_size();
@@ -539,10 +540,9 @@ impl LogWriter {
                 free: active.capacity.saturating_sub(self.head),
             });
         }
-        let torn = active.write_entry(self.head, &entry, data);
-        if torn {
-            return Err(PmError::CrashInjected(failpoint::names::LOG_APPEND_TORN));
-        }
+        let torn = faultio::crash(self.faults.as_deref(), CrashPoint::LogAppendTorn);
+        active.write_entry(self.head, &entry, data, torn.is_err());
+        torn?;
         self.head += need;
         self.entries += 1;
         Ok(())
@@ -616,6 +616,10 @@ mod tests {
         // SAFETY: the Vec outlives the LogRef in every test below and is not
         // otherwise accessed while the LogRef is in use.
         unsafe { LogRef::from_raw(buf.as_mut_ptr(), buf.len()) }
+    }
+
+    fn crash_plan() -> Arc<FaultPlan> {
+        FaultPlan::new(0, puddles_pmem::faultio::FaultProfile::default())
     }
 
     fn collect(log: &LogRef) -> Vec<(LogEntryHeader, Vec<u8>)> {
@@ -797,18 +801,24 @@ mod tests {
             &[1; 16],
         )
         .unwrap();
-        failpoint::arm(failpoint::names::LOG_APPEND_TORN, 0);
-        let err = log
-            .append(
-                0x20,
-                SEQ_UNDO,
-                ReplayOrder::Reverse,
-                EntryKind::Undo,
-                &[2; 16],
-            )
-            .unwrap_err();
-        assert!(matches!(err, PmError::CrashInjected(_)));
-        failpoint::clear_all();
+        // A power failure mid-append after the durable header already
+        // counts the second entry: the header is advanced, the entry torn.
+        let mut hdr = log.read_header();
+        let data = [2u8; 16];
+        let entry = LogEntryHeader::new(
+            0x20,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            hdr.gen,
+            &data,
+        );
+        let off = hdr.head_off as usize;
+        log.write_entry(off, &entry, &data, true);
+        hdr.head_off = (off + entry.stored_size()) as u64;
+        hdr.tail_off = off as u64;
+        hdr.num_entries += 1;
+        log.write_header(hdr);
         // The torn entry fails its checksum and truncates iteration.
         let entries = collect(&log);
         assert_eq!(entries.len(), 1);
@@ -867,15 +877,18 @@ mod tests {
 
     #[test]
     fn crash_after_n_unfenced_appends_recovers_exact_prefix() {
-        // The satellite scenario: arm the crash failpoint so the writer
-        // dies after exactly N appends; the scan (what recovery replays)
-        // must return exactly those N entries.
+        // Arm the append crash point so the writer dies after exactly N
+        // appends; the scan (what recovery replays) must return exactly
+        // those N entries.
         for n in [0usize, 1, 3, 7] {
             let mut buf = vec![0u8; 8192];
             let log = make_log(&mut buf);
             log.init();
-            let mut w = LogWriter::begin(log).unwrap();
-            failpoint::arm(failpoint::names::LOG_APPEND_CRASH, n);
+            let plan = crash_plan();
+            let mut w = LogWriter::begin(log)
+                .unwrap()
+                .with_faults(Some(Arc::clone(&plan)));
+            plan.arm_crash(CrashPoint::LogAppendCrash, n);
             let mut appended = 0usize;
             let err = loop {
                 match w.append(
@@ -889,8 +902,10 @@ mod tests {
                     Err(e) => break e,
                 }
             };
-            failpoint::clear_all();
-            assert!(matches!(err, PmError::CrashInjected(_)));
+            assert!(matches!(
+                err,
+                PmError::CrashInjected(CrashPoint::LogAppendCrash)
+            ));
             assert_eq!(appended, n);
             let recovered: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
             let expected: Vec<u64> = (0..n as u64).map(|i| 0x2000 + i).collect();
@@ -938,7 +953,10 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        let mut w = LogWriter::begin(log).unwrap();
+        let plan = crash_plan();
+        let mut w = LogWriter::begin(log)
+            .unwrap()
+            .with_faults(Some(Arc::clone(&plan)));
         w.append(
             0x1,
             SEQ_UNDO,
@@ -947,7 +965,7 @@ mod tests {
             &[1; 16],
         )
         .unwrap();
-        failpoint::arm(failpoint::names::LOG_APPEND_TORN, 0);
+        plan.arm_crash(CrashPoint::LogAppendTorn, 0);
         let err = w
             .append(
                 0x2,
@@ -957,10 +975,60 @@ mod tests {
                 &[2; 16],
             )
             .unwrap_err();
-        failpoint::clear_all();
-        assert!(matches!(err, PmError::CrashInjected(_)));
+        assert!(matches!(
+            err,
+            PmError::CrashInjected(CrashPoint::LogAppendTorn)
+        ));
+        // The torn entry fails its checksum and truncates the scan.
         let visible: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
         assert_eq!(visible, vec![0x1]);
+    }
+
+    #[test]
+    fn concurrent_writers_fire_only_their_own_append_crash() {
+        // Two writers on two threads arm the same crash point with
+        // different countdowns on their own plans, then append at the same
+        // time: each must die at exactly its own Nth append, and neither
+        // may consume the other's countdown.
+        let both_armed = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = [5usize, 11]
+            .into_iter()
+            .map(|n| {
+                let both_armed = Arc::clone(&both_armed);
+                std::thread::spawn(move || {
+                    let mut buf = vec![0u8; 16 * 1024];
+                    let log = make_log(&mut buf);
+                    log.init();
+                    let plan = crash_plan();
+                    let mut w = LogWriter::begin(log)
+                        .unwrap()
+                        .with_faults(Some(Arc::clone(&plan)));
+                    plan.arm_crash(CrashPoint::LogAppendCrash, n);
+                    both_armed.wait();
+                    let mut appended = 0usize;
+                    while w
+                        .append(
+                            appended as u64,
+                            SEQ_UNDO,
+                            ReplayOrder::Reverse,
+                            EntryKind::Undo,
+                            &[7; 8],
+                        )
+                        .is_ok()
+                    {
+                        appended += 1;
+                    }
+                    let recovered = log.iter().count();
+                    (n, appended, recovered, plan.trace())
+                })
+            })
+            .collect();
+        for t in threads {
+            let (n, appended, recovered, trace) = t.join().unwrap();
+            assert_eq!(appended, n);
+            assert_eq!(recovered, n);
+            assert_eq!(trace, vec!["log.append.crash#0: crash".to_string()]);
+        }
     }
 
     #[test]

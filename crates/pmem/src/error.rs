@@ -39,8 +39,9 @@ pub enum PmError {
         /// Bytes still free in the log area.
         free: usize,
     },
-    /// A crash was injected by an armed failpoint.
-    CrashInjected(&'static str),
+    /// A crash was injected at an armed crash point of a
+    /// [`crate::faultio::FaultPlan`].
+    CrashInjected(crate::faultio::CrashPoint),
     /// The backing device is out of space (`ENOSPC`, genuine or injected).
     /// Distinct from [`PmError::Io`] so callers can degrade gracefully — a
     /// retry cannot create free space, and the daemon maps this to its
@@ -63,7 +64,7 @@ impl fmt::Display for PmError {
             PmError::LogFull { need, free } => {
                 write!(f, "log full: entry needs {need} B but only {free} B remain")
             }
-            PmError::CrashInjected(name) => write!(f, "crash injected at failpoint `{name}`"),
+            PmError::CrashInjected(point) => write!(f, "crash injected at `{point}`"),
             PmError::NoSpace(msg) => write!(f, "device out of space: {msg}"),
         }
     }

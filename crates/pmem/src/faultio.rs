@@ -1,4 +1,4 @@
-//! Seeded fault-injection plane for torture testing.
+//! The fault-injection plane: seeded I/O faults and armed crash points.
 //!
 //! A [`FaultPlan`] is a deterministic oracle the I/O layers consult before
 //! risky operations: metadata writes ([`FaultSite::MetaWrite`]), WAL batch
@@ -8,15 +8,26 @@
 //! a trial that replays the same sequence of calls at a site sees the same
 //! faults — the reproducibility contract behind `TORTURE_SEED`.
 //!
-//! The plan records every injected fault in an in-memory **fault trace**
-//! (`"wal.write#12: short 512/4096"`), which the torture harness prints on
-//! failure so a red trial is diagnosable from its seed alone.
+//! The same plan carries the **crash points** the paper's correctness check
+//! injects (§5.1 "injecting crashes into Puddles' runtime"): a test arms a
+//! [`CrashPoint`] with [`FaultPlan::arm_crash`], the commit, log, relocation
+//! and WAL code asks [`crash`] at each stage boundary, and when the
+//! countdown runs out the caller aborts exactly as a power failure would,
+//! leaving persistent state for recovery to repair.
 //!
-//! Plans are *per daemon instance*, not process-global: a plan rides an
-//! `Arc` inside [`crate::pmdir::PmDir`] (which is `Clone`), so parallel
-//! torture trials with different seeds never see each other's faults. Code
-//! paths that never attach a plan pay one `Option` check.
+//! The plan records every injected fault and fired crash in an in-memory
+//! **fault trace** (`"wal.write#12: short 512/4096"`), which the torture
+//! harness prints on failure so a red trial is diagnosable from its seed
+//! alone.
+//!
+//! Plans are *per instance*, not process-global: a plan rides an `Arc`
+//! inside [`crate::pmdir::PmDir`] (which is `Clone`), in-process clients
+//! inherit their daemon's plan, and a `LogWriter` takes its transaction's.
+//! Parallel trials with different plans never see each other's faults or
+//! consume each other's crash countdowns. Code paths that never attach a
+//! plan pay one `Option` check.
 
+use crate::PmError;
 use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -124,6 +135,84 @@ impl FaultSite {
     }
 }
 
+/// Named crash-injection points. Each point has its own countdown in a
+/// [`FaultPlan`]; see [`FaultPlan::arm_crash`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// After undo-logged locations are flushed, before the sequence range
+    /// advances to the redo stage (end of Fig. 7 stage 1).
+    CommitAfterUndoFlush,
+    /// After the sequence range advances to (2,4), before any redo entry is
+    /// applied (start of Fig. 7 stage 2).
+    CommitBeforeRedoApply,
+    /// In the middle of applying redo entries.
+    CommitMidRedoApply,
+    /// After redo entries are applied, before the log is invalidated (end
+    /// of Fig. 7 stage 2).
+    CommitBeforeInvalidate,
+    /// In the middle of writing a log entry (models a torn log append).
+    LogAppendTorn,
+    /// Before a log append begins (models a power failure after N fully
+    /// flushed, unfenced appends: arm with `after == N` and exactly the
+    /// first N entries are durable).
+    LogAppendCrash,
+    /// While a transaction extends its log chain: after the daemon
+    /// allocated the next log puddle but before it was registered in the
+    /// log space (the puddle is unreachable by recovery and must be swept
+    /// at the next daemon startup).
+    LogChainAlloc,
+    /// While a transaction extends its log chain: after the next segment
+    /// was registered in the log space but before its first append (the
+    /// empty tail is benign for replay and is reclaimed by recovery).
+    LogChainRegister,
+    /// While a client creates its log space: after the daemon allocated the
+    /// LogSpace puddle but before `RegLogSpace` registered it (only the
+    /// daemon's startup sweep can reclaim the puddle).
+    LogSpaceAlloc,
+    /// While a client rewrites pointers in a relocated puddle.
+    RelocMidRewrite,
+    /// While the metadata-WAL group-commit leader writes a batch: only a
+    /// prefix of the batch reaches the file (some records durable, the last
+    /// one torn).
+    WalMidGroupCommit,
+    /// While a metadata-WAL record is appended: the record's tail bytes are
+    /// lost (like [`CrashPoint::LogAppendTorn`] for client logs).
+    WalAppendTorn,
+    /// After the registry checkpoint document is written and renamed,
+    /// before the WAL is truncated (replay must skip records the checkpoint
+    /// already covers).
+    WalCheckpointBeforeTruncate,
+}
+
+const CRASH_POINT_COUNT: usize = CrashPoint::WalCheckpointBeforeTruncate as usize + 1;
+
+impl CrashPoint {
+    /// Stable name used in fault-trace lines and error messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashPoint::CommitAfterUndoFlush => "tx.commit.after_undo_flush",
+            CrashPoint::CommitBeforeRedoApply => "tx.commit.before_redo_apply",
+            CrashPoint::CommitMidRedoApply => "tx.commit.mid_redo_apply",
+            CrashPoint::CommitBeforeInvalidate => "tx.commit.before_invalidate",
+            CrashPoint::LogAppendTorn => "log.append.torn",
+            CrashPoint::LogAppendCrash => "log.append.crash",
+            CrashPoint::LogChainAlloc => "log.chain.after_alloc",
+            CrashPoint::LogChainRegister => "log.chain.after_register",
+            CrashPoint::LogSpaceAlloc => "logspace.after_alloc",
+            CrashPoint::RelocMidRewrite => "reloc.mid_rewrite",
+            CrashPoint::WalMidGroupCommit => "wal.group_commit.mid",
+            CrashPoint::WalAppendTorn => "wal.append.torn",
+            CrashPoint::WalCheckpointBeforeTruncate => "wal.checkpoint.before_truncate",
+        }
+    }
+}
+
+impl std::fmt::Display for CrashPoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Fault probabilities in parts-per-million of consulted operations.
 /// All-zero (the default) injects nothing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -188,6 +277,9 @@ pub struct FaultPlan {
     injected: AtomicU64,
     enabled: AtomicBool,
     trace: Mutex<Vec<String>>,
+    /// Per-[`CrashPoint`] countdowns: `0` is disarmed, `n` fires on the
+    /// `n`-th consultation.
+    crashes: [AtomicU64; CRASH_POINT_COUNT],
     /// Optional observability hub: every injection also lands in its trace
     /// ring (as a `fault` event), so a torture timeline interleaves faults
     /// with the requests and WAL commits they perturbed.
@@ -204,6 +296,7 @@ impl FaultPlan {
             injected: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
             trace: Mutex::new(Vec::new()),
+            crashes: Default::default(),
             obs: Mutex::new(None),
         })
     }
@@ -219,9 +312,10 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Pauses (`false`) or resumes (`true`) injection. The torture harness
-    /// disables the plan during recovery/verification phases so invariant
-    /// checks observe the daemon, not the injector.
+    /// Pauses (`false`) or resumes (`true`) seeded injection. The torture
+    /// harness disables the plan during recovery/verification phases so
+    /// invariant checks observe the daemon, not the injector. Armed crash
+    /// points are unaffected: arming one is already an explicit request.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::SeqCst);
     }
@@ -246,13 +340,46 @@ impl FaultPlan {
     }
 
     fn record(&self, site: FaultSite, n: u64, what: &str) {
+        self.record_line(site.name(), n, what);
+    }
+
+    fn record_line(&self, name: &'static str, n: u64, what: &str) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-        self.trace
-            .lock()
-            .push(format!("{}#{n}: {what}", site.name()));
+        self.trace.lock().push(format!("{name}#{n}: {what}"));
         if let Some(obs) = self.obs.lock().as_ref() {
-            obs.trace(crate::obs::TraceEventKind::Fault, site.name(), n, 0);
+            obs.trace(crate::obs::TraceEventKind::Fault, name, n, 0);
         }
+    }
+
+    /// Arms `point` so that [`FaultPlan::on_crash`] lets `after`
+    /// consultations pass and fires on the next (`after == 0` fires on the
+    /// first). Re-arming replaces the countdown.
+    pub fn arm_crash(&self, point: CrashPoint, after: usize) {
+        self.crashes[point as usize].store(after as u64 + 1, Ordering::SeqCst);
+    }
+
+    /// Disarms every crash point.
+    pub fn disarm_crashes(&self) {
+        for slot in &self.crashes {
+            slot.store(0, Ordering::SeqCst);
+        }
+    }
+
+    /// Returns `true` when the armed countdown of `point` runs out on this
+    /// call; the point is then disarmed and the crash written to the fault
+    /// trace as `"<point>#0: crash"`. Unarmed points cost one atomic load.
+    pub fn on_crash(&self, point: CrashPoint) -> bool {
+        let slot = &self.crashes[point as usize];
+        if slot.load(Ordering::Relaxed) == 0 {
+            return false;
+        }
+        let fired = slot.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+            left.checked_sub(1)
+        }) == Ok(1);
+        if fired {
+            self.record_line(point.name(), 0, "crash");
+        }
+        fired
     }
 
     /// Consults the schedule before a write of `len` bytes at `site`.
@@ -318,12 +445,21 @@ impl FaultPlan {
     }
 }
 
-/// The injected transient I/O error.
-pub fn eio(site: FaultSite) -> io::Error {
-    io::Error::new(
-        io::Error::from_raw_os_error(EIO).kind(),
-        format!("injected EIO at {}", site.name()),
-    )
+/// The injected transient I/O error. Carries the real `EIO` errno so
+/// [`is_transient_io`] classifies injected and genuine media errors
+/// identically; the fault trace names the site.
+pub fn eio() -> io::Error {
+    io::Error::from_raw_os_error(EIO)
+}
+
+/// Fails with [`PmError::CrashInjected`] when `plan` fires `point` (see
+/// [`FaultPlan::on_crash`]); no plan costs one `Option` check.
+#[inline]
+pub fn crash(plan: Option<&FaultPlan>, point: CrashPoint) -> Result<(), PmError> {
+    match plan {
+        Some(plan) if plan.on_crash(point) => Err(PmError::CrashInjected(point)),
+        _ => Ok(()),
+    }
 }
 
 /// The injected out-of-space error. Carries the real `ENOSPC` errno so
@@ -345,9 +481,7 @@ pub fn is_transient_io(e: &io::Error) -> bool {
     if is_enospc(e) {
         return false;
     }
-    e.raw_os_error() == Some(EIO)
-        || e.kind() == io::ErrorKind::Interrupted
-        || e.to_string().contains("injected EIO")
+    e.raw_os_error() == Some(EIO) || e.kind() == io::ErrorKind::Interrupted
 }
 
 /// SplitMix64: the standard 64-bit mixer (public-domain constants); good
@@ -439,10 +573,72 @@ mod tests {
     }
 
     #[test]
+    fn crash_point_fires_once_after_its_countdown() {
+        let plan = FaultPlan::new(0, FaultProfile::default());
+        assert!(!plan.on_crash(CrashPoint::LogAppendCrash), "unarmed");
+        plan.arm_crash(CrashPoint::LogAppendCrash, 2);
+        let hits: Vec<bool> = (0..4)
+            .map(|_| plan.on_crash(CrashPoint::LogAppendCrash))
+            .collect();
+        assert_eq!(hits, [false, false, true, false], "disarmed after firing");
+        assert_eq!(plan.trace(), vec!["log.append.crash#0: crash".to_string()]);
+        assert_eq!(plan.injected(), 1);
+    }
+
+    #[test]
+    fn crash_points_have_independent_countdowns() {
+        let plan = FaultPlan::new(0, FaultProfile::default());
+        plan.arm_crash(CrashPoint::CommitMidRedoApply, 0);
+        assert!(!plan.on_crash(CrashPoint::CommitBeforeInvalidate));
+        assert!(plan.on_crash(CrashPoint::CommitMidRedoApply));
+        plan.arm_crash(CrashPoint::WalAppendTorn, 0);
+        plan.disarm_crashes();
+        assert!(!plan.on_crash(CrashPoint::WalAppendTorn));
+    }
+
+    #[test]
+    fn crash_helper_returns_the_injected_point() {
+        let last = CrashPoint::WalCheckpointBeforeTruncate;
+        assert!(crash(None, last).is_ok(), "no plan never crashes");
+        let plan = FaultPlan::new(0, FaultProfile::default());
+        plan.arm_crash(last, 1);
+        assert!(crash(Some(&plan), last).is_ok());
+        assert!(matches!(
+            crash(Some(&plan), last),
+            Err(PmError::CrashInjected(
+                CrashPoint::WalCheckpointBeforeTruncate
+            ))
+        ));
+        assert!(crash(Some(&plan), last).is_ok(), "fires once");
+    }
+
+    #[test]
+    fn crash_points_ignore_the_enabled_switch_and_seeded_streams() {
+        // Arming is explicit, so pausing seeded injection leaves it armed;
+        // and consulting a crash point draws nothing from the seeded
+        // streams, so a torture schedule is unchanged by crash sites.
+        let a = FaultPlan::new(5, noisy());
+        let b = FaultPlan::new(5, noisy());
+        a.set_enabled(false);
+        a.arm_crash(CrashPoint::RelocMidRewrite, 0);
+        assert!(a.on_crash(CrashPoint::RelocMidRewrite));
+        a.set_enabled(true);
+        for _ in 0..100 {
+            assert!(!a.on_crash(CrashPoint::LogAppendTorn));
+            assert_eq!(
+                a.on_write(FaultSite::WalWrite, 512),
+                b.on_write(FaultSite::WalWrite, 512)
+            );
+        }
+    }
+
+    #[test]
     fn error_classification() {
         assert!(is_enospc(&enospc()));
         assert!(!is_transient_io(&enospc()));
-        assert!(is_transient_io(&eio(FaultSite::WalWrite)));
+        assert_eq!(eio().raw_os_error(), Some(EIO));
+        assert!(is_transient_io(&eio()));
+        assert!(is_transient_io(&io::Error::from_raw_os_error(EIO)));
         assert!(!is_transient_io(&io::Error::new(
             io::ErrorKind::InvalidData,
             "x"

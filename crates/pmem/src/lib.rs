@@ -10,11 +10,11 @@
 //!   puddle files plus atomically-updated metadata files.
 //! * [`persist`] — cache-line flush and store-fence primitives (`clwb` /
 //!   `clflush` when available, portable fences otherwise).
-//! * [`failpoint`] — named crash-injection points used by the transaction
-//!   commit path, the allocator and the daemon to simulate power failures.
-//! * [`faultio`] — the seeded fault-injection plane: short/torn writes,
-//!   `EIO`/`ENOSPC`, dropped fsyncs, and connection resets, reproducible
-//!   from one `TORTURE_SEED` and logged as a per-trial fault trace.
+//! * [`faultio`] — the per-instance fault-injection plane: seeded
+//!   short/torn writes, `EIO`/`ENOSPC`, dropped fsyncs and connection
+//!   resets (reproducible from one `TORTURE_SEED`), plus the armed crash
+//!   points the commit path, log writer, relocation and daemon WAL consult
+//!   to simulate power failures — all logged to one per-plan fault trace.
 //! * [`shadow::ShadowBuffer`] — a working/durable twin buffer that models
 //!   loss of unflushed cache lines for torn-write property tests.
 //! * [`checksum`] — FNV-1a 64-bit checksums used by log entries and
@@ -29,7 +29,6 @@
 pub mod checksum;
 pub mod clock;
 pub mod error;
-pub mod failpoint;
 pub mod faultio;
 pub mod obs;
 pub mod persist;

@@ -6,8 +6,8 @@
 //! cost of flushes on the commit path is modelled; on CPUs without `clwb`
 //! we fall back to `clflush`, and on non-x86 targets to a compiler +
 //! memory fence. Durability of the backing file itself is not required for
-//! the reproduction: crash experiments are driven by failpoints, not by
-//! killing the machine.
+//! the reproduction: crash experiments are driven by armed crash points
+//! (`faultio::CrashPoint`), not by killing the machine.
 
 use crate::CACHELINE;
 use std::sync::atomic::{fence, Ordering};

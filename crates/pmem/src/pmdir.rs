@@ -147,9 +147,7 @@ impl PmDir {
         self.with_io_retries(
             || {
                 match self.write_fault(FaultSite::PuddleCreate, size) {
-                    Some(WriteFault::Eio) => {
-                        return Err(faultio::eio(FaultSite::PuddleCreate).into())
-                    }
+                    Some(WriteFault::Eio) => return Err(faultio::eio().into()),
                     Some(WriteFault::Enospc) => return Err(faultio::enospc().into()),
                     Some(WriteFault::Short(keep)) => {
                         // Torn create: the file exists but is shorter than
@@ -161,7 +159,7 @@ impl PmDir {
                             .create_new(true)
                             .open(&path)?;
                         let _ = file.set_len(keep as u64);
-                        return Err(faultio::eio(FaultSite::PuddleCreate).into());
+                        return Err(faultio::eio().into());
                     }
                     None => {}
                 }
@@ -172,9 +170,7 @@ impl PmDir {
                     .open(&path)?;
                 file.set_len(size as u64)?;
                 match self.sync_fault(FaultSite::PuddleCreate) {
-                    Some(SyncFault::Eio) => {
-                        return Err(faultio::eio(FaultSite::PuddleCreate).into())
-                    }
+                    Some(SyncFault::Eio) => return Err(faultio::eio().into()),
                     Some(SyncFault::Dropped) => {}
                     None => file.sync_all()?,
                 }
@@ -206,7 +202,7 @@ impl PmDir {
                 if let Some(WriteFault::Eio | WriteFault::Short(_)) =
                     self.write_fault(FaultSite::PuddleDelete, 0)
                 {
-                    return Err(faultio::eio(FaultSite::PuddleDelete).into());
+                    return Err(faultio::eio().into());
                 }
                 fs::remove_file(self.puddle_path(name))?;
                 Ok(())
@@ -255,21 +251,17 @@ impl PmDir {
                 {
                     let mut file = File::create(&tmp)?;
                     match self.write_fault(FaultSite::MetaWrite, bytes.len()) {
-                        Some(WriteFault::Eio) => {
-                            return Err(faultio::eio(FaultSite::MetaWrite).into())
-                        }
+                        Some(WriteFault::Eio) => return Err(faultio::eio().into()),
                         Some(WriteFault::Enospc) => return Err(faultio::enospc().into()),
                         Some(WriteFault::Short(keep)) => {
                             let _ = file.write_all(&bytes[..keep]);
-                            return Err(faultio::eio(FaultSite::MetaWrite).into());
+                            return Err(faultio::eio().into());
                         }
                         None => {}
                     }
                     file.write_all(bytes)?;
                     match self.sync_fault(FaultSite::MetaWrite) {
-                        Some(SyncFault::Eio) => {
-                            return Err(faultio::eio(FaultSite::MetaWrite).into())
-                        }
+                        Some(SyncFault::Eio) => return Err(faultio::eio().into()),
                         Some(SyncFault::Dropped) => {}
                         None => file.sync_all()?,
                     }

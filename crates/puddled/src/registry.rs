@@ -51,7 +51,7 @@ use crate::alloc::{AllocStats, CoalesceKind, SpaceAlloc, COALESCE_HARD_FACTOR};
 use crate::background::Background;
 use crate::wal::{self, RegistryOp, Wal, WalHandle};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use puddles_pmem::failpoint::{self, names};
+use puddles_pmem::faultio::{self, CrashPoint};
 use puddles_pmem::obs::TraceEventKind;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
@@ -531,11 +531,10 @@ impl Registry {
         let bytes = serde_json::to_vec_pretty(&data)
             .map_err(|e| PmError::Corruption(format!("registry encode error: {e}")))?;
         self.pmdir.write_meta(REGISTRY_FILE, &bytes)?;
-        if failpoint::should_fail(names::WAL_CHECKPOINT_BEFORE_TRUNCATE) {
-            return Err(PmError::CrashInjected(
-                names::WAL_CHECKPOINT_BEFORE_TRUNCATE,
-            ));
-        }
+        faultio::crash(
+            self.pmdir.fault_plan().map(Arc::as_ref),
+            CrashPoint::WalCheckpointBeforeTruncate,
+        )?;
         let result = self.wal.truncate_to(cut_pos, cut_seq);
         if result.is_ok() {
             obs.series("checkpoint")

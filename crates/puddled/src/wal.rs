@@ -29,11 +29,10 @@
 //! The payload is a **binary-encoded** [`RegistryOp`]: a version byte
 //! ([`WAL_BINARY_VERSION`]), a variant tag, then the fields as fixed-width
 //! little-endian integers and length-prefixed strings — roughly 3–5x
-//! smaller than the JSON records of earlier daemons and much cheaper to
-//! encode on the group-commit path. Records whose first payload byte is not
-//! the version byte are decoded as legacy JSON, so WALs written before the
-//! format change still replay. Checkpoint snapshots remain JSON (they are
-//! rewritten wholesale and benefit from being inspectable).
+//! smaller than a JSON encoding and much cheaper to encode on the
+//! group-commit path. A payload without the version byte is rejected.
+//! Checkpoint snapshots remain JSON (they are rewritten wholesale and
+//! benefit from being inspectable).
 //!
 //! `seq` increases by one per record and never resets (a checkpoint records
 //! the sequence floor it covers), so replay after a crash *between* the
@@ -42,15 +41,14 @@
 
 use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, RegistryData};
 use puddles_pmem::checksum::{fnv1a64, fnv1a64_with_seed};
-use puddles_pmem::failpoint::{self, names};
 use puddles_pmem::faultio::{
-    self, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES,
+    self, CrashPoint, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES,
 };
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
 use puddles_proto::{PtrField, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
@@ -94,7 +92,7 @@ pub type WalHandle = Arc<Wal>;
 /// so replaying a prefix of the WAL (after a torn tail) or a suffix that
 /// partially overlaps the checkpoint always lands on a state the load-time
 /// reconcile can finish healing.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, PartialEq)]
 pub enum RegistryOp {
     /// Insert or replace a puddle record.
     PutPuddle(PuddleRecord),
@@ -547,13 +545,11 @@ fn decode_binary_op(payload: &[u8]) -> Option<RegistryOp> {
     r.done().then_some(op)
 }
 
-/// Decodes one record payload: binary (versioned) or legacy JSON.
+/// Decodes one record payload (version byte, then the binary encoding).
 pub fn decode_op(payload: &[u8]) -> Option<RegistryOp> {
-    match payload.first() {
-        Some(&WAL_BINARY_VERSION) => decode_binary_op(&payload[1..]),
-        // Legacy JSON record from a pre-binary-format daemon.
-        Some(_) => serde_json::from_slice::<RegistryOp>(payload).ok(),
-        None => None,
+    match payload.split_first() {
+        Some((&WAL_BINARY_VERSION, body)) => decode_binary_op(body),
+        _ => None,
     }
 }
 
@@ -897,20 +893,21 @@ impl Wal {
     /// durability can no longer be promised.
     fn write_batch(&self, batch: &[u8]) -> Result<()> {
         let mut file = self.io.lock().unwrap();
-        if failpoint::should_fail(names::WAL_MID_GROUP_COMMIT) {
-            // Persist only a prefix of the batch: earlier records of the
-            // group survive, the record the cut lands in is torn.
-            let cut = batch.len() / 2;
+        // A torn group commit persists a prefix of the batch: earlier
+        // records of the group survive, the record the cut lands in is
+        // torn. A torn append loses the tail of the last record only.
+        let plan = self.fault.as_deref();
+        let lost = (batch.len() / 4).max(1).min(batch.len());
+        let torn = faultio::crash(plan, CrashPoint::WalMidGroupCommit)
+            .map_err(|crash| (crash, batch.len() / 2))
+            .and_then(|()| {
+                faultio::crash(plan, CrashPoint::WalAppendTorn)
+                    .map_err(|crash| (crash, batch.len() - lost))
+            });
+        if let Err((crash, cut)) = torn {
             file.write_all(&batch[..cut])?;
             let _ = file.sync_data();
-            return Err(PmError::CrashInjected(names::WAL_MID_GROUP_COMMIT));
-        }
-        if failpoint::should_fail(names::WAL_APPEND_TORN) {
-            // Lose the tail of the last record only.
-            let cut = batch.len() - (batch.len() / 4).max(1).min(batch.len());
-            file.write_all(&batch[..cut])?;
-            let _ = file.sync_data();
-            return Err(PmError::CrashInjected(names::WAL_APPEND_TORN));
+            return Err(crash);
         }
         let start = file.metadata()?.len();
         let mut attempt = 0usize;
@@ -945,14 +942,14 @@ impl Wal {
     fn write_batch_once(&self, file: &mut File, batch: &[u8]) -> Result<()> {
         if let Some(plan) = &self.fault {
             match plan.on_write(FaultSite::WalWrite, batch.len()) {
-                Some(WriteFault::Eio) => return Err(faultio::eio(FaultSite::WalWrite).into()),
+                Some(WriteFault::Eio) => return Err(faultio::eio().into()),
                 Some(WriteFault::Enospc) => return Err(faultio::enospc().into()),
                 Some(WriteFault::Short(keep)) => {
                     // A torn append: part of the batch reaches the file,
                     // then the device errors out.
                     file.write_all(&batch[..keep])?;
                     let _ = file.sync_data();
-                    return Err(faultio::eio(FaultSite::WalWrite).into());
+                    return Err(faultio::eio().into());
                 }
                 None => {}
             }
@@ -960,7 +957,7 @@ impl Wal {
         file.write_all(batch)?;
         if let Some(plan) = &self.fault {
             match plan.on_sync(FaultSite::WalSync) {
-                Some(SyncFault::Eio) => return Err(faultio::eio(FaultSite::WalSync).into()),
+                Some(SyncFault::Eio) => return Err(faultio::eio().into()),
                 // A dropped fsync: report success without the barrier. In
                 // this in-process simulation the data still reaches the
                 // file (there is no page cache to lose), so the fault is
@@ -1228,24 +1225,9 @@ mod tests {
         }
         assert!(decode_op(&[]).is_none());
         assert!(decode_op(&[WAL_BINARY_VERSION, 0xEE]).is_none());
-    }
-
-    #[test]
-    fn legacy_json_records_still_replay() {
-        // A WAL written by a pre-binary daemon: JSON payloads. The decoder
-        // must replay them transparently (version-byte discrimination).
-        let op = sample_op(5);
-        let json = serde_json::to_vec(&op).unwrap();
-        assert_ne!(json[0], WAL_BINARY_VERSION);
-        assert_eq!(decode_op(&json), Some(op.clone()));
-
-        // A mixed-format WAL (old JSON records, then new binary ones)
-        // decodes in order.
-        let mut bytes = encode_record(0, &json);
-        bytes.extend_from_slice(&encode_record(1, &encode_op(&sample_op(6))));
-        let (ops, consumed) = decode_records(&bytes);
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(ops, vec![(0, sample_op(5)), (1, sample_op(6))]);
+        // A JSON payload (no version byte) is not a record.
+        let json = serde_json::to_vec(&sample_op(5)).unwrap();
+        assert!(decode_op(&json).is_none());
     }
 
     #[test]

@@ -1082,20 +1082,21 @@ fn recovery_replays_chained_logs_in_order_and_reclaims_tails() {
 #[test]
 fn unregistered_logspace_puddles_are_swept_at_startup() {
     use puddles::{PoolOptions, PuddleClient};
-    use puddles_pmem::failpoint;
+    use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
+    use std::sync::Arc;
 
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
+    let plan = FaultPlan::new(0, FaultProfile::default());
     let logspace_count;
     {
-        let daemon = Daemon::start(config.clone()).unwrap();
+        let daemon = Daemon::start(config.clone().with_fault_plan(Arc::clone(&plan))).unwrap();
         let client = PuddleClient::connect_local(&daemon).unwrap();
         let pool = client.create_pool("ls", PoolOptions::default()).unwrap();
         // First transaction ever on this client: it must create the log
         // space — crash between the allocation and the registration.
-        failpoint::arm(failpoint::names::LOGSPACE_ALLOC_CRASH, 0);
+        plan.arm_crash(CrashPoint::LogSpaceAlloc, 0);
         let err = pool.tx(|_tx| Ok(())).unwrap_err();
-        failpoint::clear_all();
         assert!(
             err.is_injected_crash(),
             "expected injected crash, got {err}"

@@ -7,7 +7,7 @@
 //! `Busy` rejection at the connection cap).
 
 use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
 use puddles_proto::frame::V2_MAGIC;
 use puddles_proto::{
     read_frame, write_frame, Credentials, PtrField, PtrMapDecl, Request, RequestEnvelope, Response,
@@ -15,6 +15,7 @@ use puddles_proto::{
 };
 use std::io::Write;
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn start_server() -> (tempfile::TempDir, Daemon, UdsServer, std::path::PathBuf) {
@@ -58,15 +59,6 @@ fn read_env(stream: &mut UnixStream) -> (u64, Response) {
         ServerFrame::Enveloped(env) => (env.req_id, env.resp),
         ServerFrame::Bare(resp) => panic!("bare frame on a v2 connection: {resp:?}"),
     }
-}
-
-/// Serializes the tests that exercise checkpoint thresholds or global
-/// failpoints: checkpoints fire on daemon background threads, so a
-/// concurrently running checkpoint-heavy test could consume another test's
-/// armed point or skew its counters.
-fn checkpoint_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
@@ -238,7 +230,6 @@ fn half_close_drains_pending_responses() {
 /// never checkpoint, so the increment can only come from the scheduler).
 #[test]
 fn threshold_checkpoints_land_asynchronously() {
-    let _guard = checkpoint_lock();
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     daemon.wal().set_checkpoint_threshold(64);
@@ -270,7 +261,6 @@ fn threshold_checkpoints_land_asynchronously() {
 /// is truncated on disk and the state reloads from the checkpoint.
 #[test]
 fn shutdown_drains_pending_background_checkpoints() {
-    let _guard = checkpoint_lock();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
     let wal_path = tmp.path().join("meta").join("registry.wal");
@@ -326,15 +316,14 @@ fn shutdown_drains_pending_background_checkpoints() {
 /// the checkpoint's sequence floor applied once, none lost, none doubled).
 #[test]
 fn kill_during_background_checkpoint_still_replays_registry() {
-    let _guard = checkpoint_lock();
-    failpoint::clear_all();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
+    let plan = FaultPlan::new(0, FaultProfile::default());
     let expected_puddles;
     {
-        let daemon = Daemon::start(config.clone()).unwrap();
+        let daemon = Daemon::start(config.clone().with_fault_plan(Arc::clone(&plan))).unwrap();
         daemon.wal().set_checkpoint_threshold(64);
-        failpoint::arm(failpoint::names::WAL_CHECKPOINT_BEFORE_TRUNCATE, 0);
+        plan.arm_crash(CrashPoint::WalCheckpointBeforeTruncate, 0);
         let creds = Credentials::current_process();
         match daemon.handle(
             creds,
@@ -350,15 +339,12 @@ fn kill_during_background_checkpoint_still_replays_registry() {
         // The commit above queued a background checkpoint; wait for it to
         // hit the crash point (snapshot written, truncation skipped).
         wait_until("background checkpoint crash", || {
-            failpoint::fired()
-                .iter()
-                .any(|name| name == failpoint::names::WAL_CHECKPOINT_BEFORE_TRUNCATE)
+            plan.trace() == ["wal.checkpoint.before_truncate#0: crash"]
         });
         expected_puddles = stats(&daemon).puddles;
         // "Kill": drop with no further mutations (nothing is pending, so
         // the drop-drain cannot paper over the torn checkpoint state).
     }
-    failpoint::clear_all();
 
     let daemon = Daemon::start(config).unwrap();
     let s = stats(&daemon);
@@ -379,7 +365,6 @@ fn kill_during_background_checkpoint_still_replays_registry() {
 /// inline — the WAL must never grow without bound.
 #[test]
 fn wal_past_hard_ceiling_forces_inline_checkpoint() {
-    let _guard = checkpoint_lock();
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     daemon.background().pause();

@@ -1,4 +1,5 @@
-//! Failpoint-driven crash-injection tests for the metadata WAL.
+//! Crash-injection tests for the metadata WAL: each test arms a crash point
+//! on the fault plan of the PM directory it opens.
 //!
 //! Follows the black-box consistency-checking discipline of the paper's
 //! correctness evaluation (§5.1) — and of Biswas et al.'s snapshot-isolation
@@ -9,19 +10,20 @@
 
 use puddled::registry::{PoolRecord, PuddleRecord, Registry, RegistryData};
 use puddled::{Daemon, DaemonConfig};
-use puddles_pmem::failpoint::{self, names};
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
 use puddles_proto::{PuddleId, PuddlePurpose};
 use std::sync::{Arc, Mutex};
 
-/// Failpoints are process-global; tests that arm them must not interleave.
-static FP_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_failpoints() -> std::sync::MutexGuard<'static, ()> {
-    let guard = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::clear_all();
-    guard
+/// A PM directory whose fault plan injects nothing until a test arms one of
+/// its crash points.
+fn crashable_pm_dir(path: &std::path::Path) -> (PmDir, Arc<FaultPlan>) {
+    let plan = FaultPlan::new(0, FaultProfile::default());
+    let pm = PmDir::open(path)
+        .unwrap()
+        .with_fault_plan(Arc::clone(&plan));
+    (pm, plan)
 }
 
 fn open_registry(pm: &PmDir) -> Registry {
@@ -75,7 +77,6 @@ fn assert_consistent(data: &RegistryData) {
 
 #[test]
 fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let pm = PmDir::open(tmp.path()).unwrap();
     let before;
@@ -136,9 +137,8 @@ fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
 
 #[test]
 fn torn_tail_record_is_discarded_and_prior_state_survives() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let (pm, plan) = crashable_pm_dir(tmp.path());
     let before;
     {
         let reg = open_registry(&pm);
@@ -147,15 +147,14 @@ fn torn_tail_record_is_discarded_and_prior_state_survives() {
         before = reg.snapshot();
 
         // The next mutation's WAL record is torn mid-append.
-        failpoint::arm(names::WAL_APPEND_TORN, 0);
+        plan.arm_crash(CrashPoint::WalAppendTorn, 0);
         let rec = record(&reg, None);
         reg.register_puddle(rec).unwrap();
         let err = reg.commit().unwrap_err();
         assert!(
-            matches!(err, PmError::CrashInjected(_)),
+            matches!(err, PmError::CrashInjected(CrashPoint::WalAppendTorn)),
             "expected injected crash, got {err}"
         );
-        failpoint::clear_all();
         // Once torn, the WAL refuses further traffic until restart.
         assert!(reg.commit().is_err());
     }
@@ -170,9 +169,8 @@ fn torn_tail_record_is_discarded_and_prior_state_survives() {
 
 #[test]
 fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let (pm, plan) = crashable_pm_dir(tmp.path());
     let before;
     {
         let reg = open_registry(&pm);
@@ -186,10 +184,12 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
         reg.commit().unwrap();
         before = reg.snapshot();
 
-        failpoint::arm(names::WAL_CHECKPOINT_BEFORE_TRUNCATE, 0);
+        plan.arm_crash(CrashPoint::WalCheckpointBeforeTruncate, 0);
         let err = reg.checkpoint().unwrap_err();
-        assert!(matches!(err, PmError::CrashInjected(_)));
-        failpoint::clear_all();
+        assert!(matches!(
+            err,
+            PmError::CrashInjected(CrashPoint::WalCheckpointBeforeTruncate)
+        ));
         // The checkpoint document was written; the WAL was not truncated.
         assert!(reg.wal().stats().records > 0);
     }
@@ -203,14 +203,13 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
 
 #[test]
 fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let (pm, plan) = crashable_pm_dir(tmp.path());
     let acked = Arc::new(Mutex::new(Vec::new()));
     {
         let reg = Arc::new(open_registry(&pm));
         // Let a couple of batches commit cleanly, then tear one mid-write.
-        failpoint::arm(names::WAL_MID_GROUP_COMMIT, 3);
+        plan.arm_crash(CrashPoint::WalMidGroupCommit, 3);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let reg = Arc::clone(&reg);
@@ -234,11 +233,9 @@ fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
         for t in threads {
             t.join().unwrap();
         }
-        let fired = failpoint::fired();
-        failpoint::clear_all();
         assert_eq!(
-            fired,
-            vec![names::WAL_MID_GROUP_COMMIT.to_string()],
+            plan.trace(),
+            vec!["wal.group_commit.mid#0: crash".to_string()],
             "the crash must actually have been injected"
         );
     }
@@ -258,7 +255,6 @@ fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
 
 #[test]
 fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let pm = PmDir::open(tmp.path()).unwrap();
     let reg = open_registry(&pm);
@@ -287,7 +283,6 @@ fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
 
 #[test]
 fn startup_sweep_deletes_orphan_puddle_files() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
     let legit_files: Vec<String>;

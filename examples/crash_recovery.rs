@@ -1,16 +1,17 @@
 //! Application-independent recovery demo (the paper's headline property).
 //!
 //! A "database writer" starts a transaction and crashes mid-commit (via a
-//! failpoint). The writer never comes back: a completely different client —
-//! which only has *read* access — still sees consistent data, because the
-//! daemon replayed the registered logs when it restarted, before any
-//! application mapped the data.
+//! crash point armed on the daemon's fault plan, which the in-process
+//! writer inherits). The writer never comes back: a completely different
+//! client — which only has *read* access — still sees consistent data,
+//! because the daemon replayed the registered logs when it restarted,
+//! before any application mapped the data.
 //!
 //! Run with `cargo run --example crash_recovery`.
 
 use puddled::{Daemon, DaemonConfig};
 use puddles::{impl_pm_type, PmPtr, PoolOptions, PuddleClient};
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
 
 #[repr(C)]
 struct Account {
@@ -26,7 +27,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The writer application ------------------------------------------
     {
-        let daemon = Daemon::start(config.clone())?;
+        let plan = FaultPlan::new(0, FaultProfile::default());
+        let daemon = Daemon::start(config.clone().with_fault_plan(plan.clone()))?;
         let writer = PuddleClient::connect_local(&daemon)?;
         let pool = writer.create_pool("bank", PoolOptions::default().mode(0o644))?;
         pool.tx(|tx| {
@@ -41,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let root: PmPtr<Account> = pool.root().unwrap();
 
         // Crash in the middle of the commit sequence.
-        failpoint::arm(failpoint::names::COMMIT_AFTER_UNDO_FLUSH, 0);
+        plan.arm_crash(CrashPoint::CommitAfterUndoFlush, 0);
         let err = pool
             .tx(|tx| {
                 let acc = pool.deref_mut(root)?;
@@ -50,7 +52,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Ok(())
             })
             .unwrap_err();
-        failpoint::clear_all();
         println!("writer crashed mid-commit: {err}");
         // The writer process is gone; it never performs recovery.
     }

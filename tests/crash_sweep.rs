@@ -6,8 +6,8 @@
 //! recovery — as opaque: it drives a *seeded* workload of transactions
 //! whose log sizes straddle the chain boundary, injects a crash at a
 //! randomly chosen executed-store index (or commit-stage / chain-extension
-//! boundary) through the existing failpoint machinery, restarts the
-//! daemon, and asserts the data region is **bit-identical** to either the
+//! boundary) by arming a crash point on the daemon's fault plan, restarts
+//! the daemon, and asserts the data region is **bit-identical** to either the
 //! pre-transaction or the post-transaction image — committed or rolled
 //! back, never torn.
 //!
@@ -19,19 +19,20 @@
 //! two env vars.
 //!
 //! Trials run **in parallel** (`PUDDLES_CRASH_SWEEP_THREADS`, default:
-//! available parallelism, capped at 8): each trial owns a private PM dir
-//! and a unique global-space slot (`DaemonConfig::for_testing`), and its
-//! crash points are armed **thread-scoped** (`failpoint::arm_scoped`), so
-//! concurrent trials can neither trip nor consume one another's
-//! failpoints. Worker threads pull trial indices from a shared counter, so
-//! seeds stay `base + trial` regardless of thread count — a failure
-//! reproduces identically single-threaded.
+//! available parallelism, capped at 8): each trial owns a private PM dir,
+//! a unique global-space slot (`DaemonConfig::for_testing`) and a private
+//! fault plan that its in-process client inherits, so concurrent trials
+//! can neither trip nor consume one another's crash points. Worker threads
+//! pull trial indices from a shared counter, so seeds stay `base + trial`
+//! regardless of thread count — a failure reproduces identically
+//! single-threaded.
 
 use puddled::{Daemon, DaemonConfig};
 use puddles::{impl_pm_type, PmPtr, PoolOptions, PuddleClient};
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const REGION: usize = 32 * 1024;
 /// Log segments small enough that multi-KiB transactions chain several.
@@ -89,36 +90,29 @@ fn apply_to_shadow(shadow: &mut [u8], ops: &[Op]) {
     }
 }
 
-/// The failpoint armed for the crashing transaction.
-enum Crash {
-    /// Crash after N executed (unfenced) log appends — the dominant case:
-    /// a power failure at a random executed-store index.
-    AppendAt(usize),
-    /// Crash at a commit-stage or chain-extension boundary.
-    Named(&'static str, usize),
-}
-
-fn pick_crash(rng: &mut StdRng) -> Crash {
+/// Picks the crash point armed for the crashing transaction and its
+/// countdown.
+fn pick_crash(rng: &mut StdRng) -> (CrashPoint, usize) {
     if rng.gen_bool(0.55) {
-        return Crash::AppendAt(rng.gen_range(0usize..24));
+        // Crash after N executed (unfenced) log appends — the dominant
+        // case: a power failure at a random executed-store index.
+        return (CrashPoint::LogAppendCrash, rng.gen_range(0usize..24));
     }
+    // A commit-stage or chain-extension boundary.
     let named = [
-        failpoint::names::COMMIT_AFTER_UNDO_FLUSH,
-        failpoint::names::COMMIT_BEFORE_REDO_APPLY,
-        failpoint::names::COMMIT_MID_REDO_APPLY,
-        failpoint::names::COMMIT_BEFORE_INVALIDATE,
-        failpoint::names::LOG_CHAIN_ALLOC_CRASH,
-        failpoint::names::LOG_CHAIN_REGISTER_CRASH,
+        CrashPoint::CommitAfterUndoFlush,
+        CrashPoint::CommitBeforeRedoApply,
+        CrashPoint::CommitMidRedoApply,
+        CrashPoint::CommitBeforeInvalidate,
+        CrashPoint::LogChainAlloc,
+        CrashPoint::LogChainRegister,
     ];
-    let name = named[rng.gen_range(0u64..named.len() as u64) as usize];
-    let after = if name == failpoint::names::LOG_CHAIN_ALLOC_CRASH
-        || name == failpoint::names::LOG_CHAIN_REGISTER_CRASH
-    {
-        rng.gen_range(0usize..2)
-    } else {
-        0
+    let point = named[rng.gen_range(0u64..named.len() as u64) as usize];
+    let after = match point {
+        CrashPoint::LogChainAlloc | CrashPoint::LogChainRegister => rng.gen_range(0usize..2),
+        _ => 0,
     };
-    Crash::Named(name, after)
+    (point, after)
 }
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -140,7 +134,8 @@ fn run_trial(seed: u64) -> Result<(), String> {
     let mut crashed = false;
 
     {
-        let daemon = Daemon::start(config.clone()).unwrap();
+        let plan = FaultPlan::new(seed, FaultProfile::default());
+        let daemon = Daemon::start(config.clone().with_fault_plan(Arc::clone(&plan))).unwrap();
         let client = PuddleClient::connect_local(&daemon).unwrap();
         client.set_log_puddle_size(LOG_SEGMENT);
         let pool = client.create_pool("sweep", PoolOptions::default()).unwrap();
@@ -161,14 +156,8 @@ fn run_trial(seed: u64) -> Result<(), String> {
             let ops = gen_ops(&mut rng);
             if tx_index == crash_at {
                 before_crash_tx.copy_from_slice(&shadow);
-                // Scoped to this trial's thread: parallel trials must not
-                // trip (or consume) each other's crash points.
-                match pick_crash(&mut rng) {
-                    Crash::AppendAt(n) => {
-                        failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n)
-                    }
-                    Crash::Named(name, after) => failpoint::arm_scoped(name, after),
-                }
+                let (point, after) = pick_crash(&mut rng);
+                plan.arm_crash(point, after);
             }
             let result = pool.tx(|tx| {
                 let region = pool.deref_mut(root)?;
@@ -183,7 +172,7 @@ fn run_trial(seed: u64) -> Result<(), String> {
                 }
                 Ok(())
             });
-            failpoint::clear_current_thread();
+            plan.disarm_crashes();
             match result {
                 Ok(()) => {
                     // Either no crash was scheduled for this transaction, or
@@ -250,7 +239,7 @@ fn run_trial(seed: u64) -> Result<(), String> {
 #[test]
 fn randomized_crash_consistency_sweep() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
 
     let trials = env_u64("PUDDLES_CRASH_SWEEP_TRIALS", 100);
     let base_seed = env_u64("PUDDLES_CRASH_SWEEP_SEED", 0xC0FFEE);
