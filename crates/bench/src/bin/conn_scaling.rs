@@ -9,9 +9,10 @@
 //! **Population scaling** — requests/s and p99 latency with 64 / 2048 /
 //! 10000 **concurrently connected** clients in three mixes:
 //!
-//! * `all_active` — every connection issues `Ping` requests back-to-back
-//!   (driver threads multiplex many connections each, so the *daemon*'s
-//!   concurrency is what is measured, not the harness's thread count);
+//! * `all_active` — every connection issues `Ping` requests back-to-back,
+//!   one in flight at a time (driver threads multiplex many connections
+//!   each, so the *daemon*'s concurrency is what is measured, not the
+//!   harness's thread count);
 //! * `mostly_idle` — the same connection count, but only 1 in 16
 //!   connections is active; the rest sit connected and silent. This is the
 //!   "millions of users" shape: a large connected population, a small hot
@@ -21,7 +22,7 @@
 //!   takes the WAL-append path while thousands of idle connections hold
 //!   reactor slots.
 //!
-//! **Pipelining × reactors** — protocol-v2 clients keep a window of
+//! **Pipelining × reactors** — clients keep a window of
 //! `depth` enveloped requests in flight per connection against daemons
 //! configured with 1 / 2 / 4 reactors. The `--assert-scaling` flag turns
 //! the headline claim into a hard check: 4 reactors with pipelining must
@@ -32,10 +33,9 @@
 
 use puddled::ServerConfig;
 use puddles_bench::{emit_header, emit_row, Scale};
-use puddles_proto::frame::V2_MAGIC;
 use puddles_proto::{
     read_frame, write_frame, Credentials, PtrField, PtrMapDecl, Request, RequestEnvelope, Response,
-    ServerFrame,
+    ResponseEnvelope,
 };
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -65,17 +65,16 @@ fn raise_nofile_limit() -> u64 {
     lim.rlim_cur
 }
 
-/// Connects and handshakes one v1 client connection (with a short retry: a
+/// Connects and handshakes one client connection (with a short retry: a
 /// burst of 10000 connects can transiently fill the listen backlog).
 fn connect(socket: &Path) -> UnixStream {
     let mut delay = Duration::from_millis(1);
     for attempt in 0.. {
         match UnixStream::connect(socket) {
-            Ok(mut stream) => {
-                write_frame(&mut stream, &Request::hello(Credentials::current_process()))
-                    .expect("hello");
-                let resp: Response = read_frame(&mut stream).expect("welcome");
-                assert!(matches!(resp, Response::Welcome { .. }));
+            Ok(stream) => {
+                let hello = Request::hello(Credentials::current_process());
+                let resp = call(&stream, 1, hello).expect("hello");
+                assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
                 return stream;
             }
             Err(_) if attempt < 50 => {
@@ -88,43 +87,17 @@ fn connect(socket: &Path) -> UnixStream {
     unreachable!()
 }
 
-/// Connects and handshakes one protocol-v2 (enveloped, pipelined)
-/// connection.
-fn connect_v2(socket: &Path) -> UnixStream {
-    let mut stream = connect_raw(socket);
-    stream.write_all(&V2_MAGIC).expect("v2 magic");
-    write_frame(
-        &mut stream,
-        &RequestEnvelope {
-            req_id: 0,
-            req: Request::hello(Credentials::current_process()),
-        },
-    )
-    .expect("hello");
-    match read_frame::<_, ServerFrame>(&mut stream).expect("welcome") {
-        ServerFrame::Enveloped(env) => {
-            assert_eq!(env.req_id, 0);
-            assert!(matches!(env.resp, Response::Welcome { .. }));
-        }
-        ServerFrame::Bare(resp) => panic!("expected enveloped welcome, got bare {resp:?}"),
-    }
-    stream
+/// Writes one enveloped request.
+fn send(mut stream: &UnixStream, req_id: u64, req: Request) -> std::io::Result<()> {
+    write_frame(&mut stream, &RequestEnvelope { req_id, req })
 }
 
-/// Raw connect with the same backlog retry as [`connect`].
-fn connect_raw(socket: &Path) -> UnixStream {
-    let mut delay = Duration::from_millis(1);
-    for attempt in 0.. {
-        match UnixStream::connect(socket) {
-            Ok(stream) => return stream,
-            Err(_) if attempt < 50 => {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(100));
-            }
-            Err(e) => panic!("connect failed after retries: {e}"),
-        }
-    }
-    unreachable!()
+/// One depth-1 round trip: the request out, its echoed-id response back.
+fn call(mut stream: &UnixStream, req_id: u64, req: Request) -> std::io::Result<Response> {
+    send(stream, req_id, req)?;
+    let env: ResponseEnvelope = read_frame(&mut stream)?;
+    assert_eq!(env.req_id, req_id, "{:?}", env.resp);
+    Ok(env.resp)
 }
 
 /// What the hot set of a population mix sends.
@@ -221,12 +194,8 @@ fn run_mix(
                         if start.elapsed() >= duration {
                             break 'outer;
                         }
-                        let mut stream = stream;
                         let t0 = Instant::now();
-                        if write_frame(&mut stream, &op.request(shard_no, done)).is_err() {
-                            break 'outer;
-                        }
-                        let resp: Response = match read_frame(&mut stream) {
+                        let resp = match call(stream, done + 2, op.request(shard_no, done)) {
                             Ok(resp) => resp,
                             Err(_) => break 'outer,
                         };
@@ -259,7 +228,7 @@ fn run_mix(
     }
 }
 
-/// Drives `conns` protocol-v2 connections, each keeping a window of
+/// Drives `conns` connections, each keeping a window of
 /// `depth` enveloped pings in flight (one thread per connection: the
 /// window, not the harness, provides the concurrency under test).
 fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) -> MixResult {
@@ -268,50 +237,30 @@ fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) 
         .map(|_| {
             let socket = socket.to_path_buf();
             std::thread::spawn(move || {
-                let mut stream = connect_v2(&socket);
+                let mut stream = connect(&socket);
                 let mut sent_at: HashMap<u64, Instant> = HashMap::with_capacity(depth);
                 let mut latencies_ns: Vec<u64> = Vec::new();
-                let mut next_id: u64 = 1;
+                let mut next_id: u64 = 2;
                 let mut done = 0u64;
                 // Prime the window.
                 for _ in 0..depth {
                     sent_at.insert(next_id, Instant::now());
-                    write_frame(
-                        &mut stream,
-                        &RequestEnvelope {
-                            req_id: next_id,
-                            req: Request::Ping,
-                        },
-                    )
-                    .expect("prime");
+                    send(&stream, next_id, Request::Ping).expect("prime");
                     next_id += 1;
                 }
                 // Steady state: read one completion, top the window back up.
                 while start.elapsed() < duration {
-                    let env = match read_frame::<_, ServerFrame>(&mut stream).expect("response") {
-                        ServerFrame::Enveloped(env) => env,
-                        ServerFrame::Bare(resp) => panic!("unexpected bare frame {resp:?}"),
-                    };
+                    let env: ResponseEnvelope = read_frame(&mut stream).expect("response");
                     let t0 = sent_at.remove(&env.req_id).expect("unknown req_id");
                     latencies_ns.push(t0.elapsed().as_nanos() as u64);
                     done += 1;
                     sent_at.insert(next_id, Instant::now());
-                    write_frame(
-                        &mut stream,
-                        &RequestEnvelope {
-                            req_id: next_id,
-                            req: Request::Ping,
-                        },
-                    )
-                    .expect("refill");
+                    send(&stream, next_id, Request::Ping).expect("refill");
                     next_id += 1;
                 }
                 // Drain the window so the connection closes cleanly.
                 while !sent_at.is_empty() {
-                    let env = match read_frame::<_, ServerFrame>(&mut stream).expect("drain") {
-                        ServerFrame::Enveloped(env) => env,
-                        ServerFrame::Bare(resp) => panic!("unexpected bare frame {resp:?}"),
-                    };
+                    let env: ResponseEnvelope = read_frame(&mut stream).expect("drain");
                     let t0 = sent_at.remove(&env.req_id).expect("unknown req_id");
                     latencies_ns.push(t0.elapsed().as_nanos() as u64);
                     done += 1;
@@ -340,9 +289,9 @@ fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) 
 }
 
 /// `--hold-socket` mode: binds a daemon at `socket` and drives light
-/// Ping / CreatePool / DropPool load over one v1 connection for
-/// `hold_ms`, so an external `puddle-stat` can poll live, non-empty
-/// histograms (the CI observability smoke gate).
+/// Ping / CreatePool / DropPool load over one connection, one request in
+/// flight at a time, for `hold_ms`, so an external `puddle-stat` can poll
+/// live, non-empty histograms (the CI observability smoke gate).
 fn run_hold(socket: &Path, hold_ms: u64) {
     let tmp = tempfile::tempdir().expect("tempdir");
     let daemon =
@@ -353,7 +302,7 @@ fn run_hold(socket: &Path, hold_ms: u64) {
         socket.display()
     );
 
-    let mut stream = connect(socket);
+    let stream = connect(socket);
     let deadline = Instant::now() + Duration::from_millis(hold_ms);
     let mut seq = 0u64;
     while Instant::now() < deadline {
@@ -368,11 +317,11 @@ fn run_hold(socket: &Path, hold_ms: u64) {
             Request::DropPool { name: pool },
         ];
         for req in reqs {
-            write_frame(&mut stream, &req).expect("hold request");
-            let resp: Response = read_frame(&mut stream).expect("hold response");
+            let is_ping = matches!(req, Request::Ping);
+            let resp = call(&stream, seq + 2, req).expect("hold round trip");
             // Ping answers Welcome here (it measures daemon latency);
             // only hard protocol errors on Ping should abort the hold.
-            if matches!(req, Request::Ping) {
+            if is_ping {
                 assert!(!matches!(resp, Response::Error { .. }), "{resp:?}");
             }
         }

@@ -147,20 +147,6 @@ pub fn __field<T: Deserialize>(map: &[(String, Value)], key: &str) -> Result<T, 
     }
 }
 
-/// Like [`__field`], but absence falls back to `Default::default()` — the
-/// `#[serde(default)]` field attribute. Lets schemas grow new fields
-/// without breaking decode of frames written by older peers.
-#[doc(hidden)]
-pub fn __field_or_default<T: Deserialize + Default>(
-    map: &[(String, Value)],
-    key: &str,
-) -> Result<T, Error> {
-    match map.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => T::deserialize(v).map_err(|e| Error::custom(format!("field `{key}`: {e}"))),
-        None => Ok(T::default()),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------------

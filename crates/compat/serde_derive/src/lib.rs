@@ -8,10 +8,10 @@
 //!   array),
 //! * unit structs,
 //! * enums whose variants are unit, newtype, tuple, or struct-like
-//!   (serde's externally tagged representation),
-//! * the `#[serde(default)]` field attribute: a field absent from the
-//!   decoded map falls back to `Default::default()` instead of erroring,
-//!   so wire schemas can grow fields without breaking older peers.
+//!   (serde's externally tagged representation).
+//!
+//! No `#[serde(..)]` attributes are supported: every field is written, and
+//! a field absent on decode is an error unless its type is `Option`.
 //!
 //! Generics are not supported; deriving on a generic type is a compile
 //! error. Generated code never names field types — it relies on inference
@@ -22,8 +22,6 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {
     name: String,
-    /// `#[serde(default)]`: absence on decode yields `Default::default()`.
-    default: bool,
 }
 
 enum VariantFields {
@@ -66,36 +64,6 @@ fn skip_attrs(tokens: &[TokenTree], mut i: usize) -> usize {
         }
     }
     i
-}
-
-/// Scans attributes starting at `i` like [`skip_attrs`], additionally
-/// reporting whether any of them is `#[serde(default)]`.
-fn scan_field_attrs(tokens: &[TokenTree], mut i: usize) -> (usize, bool) {
-    let mut default = false;
-    while i + 1 < tokens.len() {
-        match (&tokens[i], &tokens[i + 1]) {
-            (TokenTree::Punct(p), TokenTree::Group(g))
-                if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-            {
-                let inner: Vec<TokenTree> = g.stream().into_iter().collect();
-                if let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) =
-                    (inner.first(), inner.get(1))
-                {
-                    if id.to_string() == "serde"
-                        && args.delimiter() == Delimiter::Parenthesis
-                        && args.stream().into_iter().any(
-                            |t| matches!(&t, TokenTree::Ident(a) if a.to_string() == "default"),
-                        )
-                    {
-                        default = true;
-                    }
-                }
-                i += 2;
-            }
-            _ => break,
-        }
-    }
-    (i, default)
 }
 
 /// Skips a visibility qualifier (`pub`, `pub(crate)`, ...) starting at `i`.
@@ -147,8 +115,7 @@ fn parse_named_fields(group: &[TokenTree]) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < group.len() {
-        let (next, default) = scan_field_attrs(group, i);
-        i = next;
+        i = skip_attrs(group, i);
         if i >= group.len() {
             break;
         }
@@ -180,7 +147,7 @@ fn parse_named_fields(group: &[TokenTree]) -> Result<Vec<Field>, String> {
             i += 1;
         }
         i += 1; // past the comma (or end)
-        fields.push(Field { name, default });
+        fields.push(Field { name });
     }
     Ok(fields)
 }
@@ -294,18 +261,13 @@ fn named_fields_from_map(ty: &str, fields: &[Field], map_expr: &str) -> String {
     let mut out = format!("{{ let __map = {map_expr}; Ok({ty} {{ ");
     for f in fields {
         let n = &f.name;
-        let lookup = if f.default {
-            "__field_or_default"
-        } else {
-            "__field"
-        };
-        out.push_str(&format!("{n}: ::serde::{lookup}(__map, {n:?})?, "));
+        out.push_str(&format!("{n}: ::serde::__field(__map, {n:?})?, "));
     }
     out.push_str("}) }");
     out
 }
 
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let input = match parse_input(input) {
         Ok(i) => i,
@@ -373,7 +335,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .unwrap()
 }
 
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let input = match parse_input(input) {
         Ok(i) => i,

@@ -146,37 +146,19 @@ impl PuddleClient {
         )
     }
 
-    /// Connects to a daemon over its UNIX-domain socket, speaking the
-    /// pipelined v2 protocol (requests carry ids, dozens may be in flight
-    /// per connection, responses pair by id).
+    /// Connects to a daemon over its UNIX-domain socket. Requests carry
+    /// ids, dozens may be in flight per connection, and responses pair by
+    /// id.
     ///
     /// The client reserves the global puddle space at the base address the
     /// daemon reports; if that address range is unavailable in this process
     /// the connection fails (native pointers require the same base in every
     /// process of the "machine").
     pub fn connect_uds(path: impl AsRef<Path>) -> Result<Self> {
-        Self::connect_uds_with_retry(path, RetryPolicy::default())
-    }
-
-    /// Like [`PuddleClient::connect_uds`], with an explicit retry/backoff
-    /// policy governing connection dials and idempotent re-sends.
-    pub fn connect_uds_with_retry(path: impl AsRef<Path>, retry: RetryPolicy) -> Result<Self> {
         let creds = Credentials::current_process();
         let metrics = Arc::new(ClientMetrics::default());
         let endpoint = Box::new(
-            PipelinedEndpoint::new(path.as_ref(), retry).with_client_metrics(Arc::clone(&metrics)),
-        );
-        Self::finish_connect(endpoint, None, creds, metrics, None)
-    }
-
-    /// Connects over the UNIX-domain socket speaking the legacy v1 protocol
-    /// (bare frames, one request in flight per pooled connection). Kept for
-    /// interoperability tests and as a fallback against pre-v2 daemons.
-    pub fn connect_uds_v1(path: impl AsRef<Path>) -> Result<Self> {
-        let creds = Credentials::current_process();
-        let metrics = Arc::new(ClientMetrics::default());
-        let endpoint = Box::new(
-            UdsEndpoint::new(path.as_ref(), RetryPolicy::default())
+            PipelinedEndpoint::new(path.as_ref(), RetryPolicy::default())
                 .with_client_metrics(Arc::clone(&metrics)),
         );
         Self::finish_connect(endpoint, None, creds, metrics, None)
@@ -190,17 +172,7 @@ impl PuddleClient {
     /// reserve it again); out-of-process clients use
     /// [`PuddleClient::connect_uds`].
     pub fn connect_uds_shared(path: impl AsRef<Path>, space: Arc<GlobalSpace>) -> Result<Self> {
-        Self::connect_uds_shared_with_retry(path, space, RetryPolicy::default())
-    }
-
-    /// Like [`PuddleClient::connect_uds_shared`], with an explicit
-    /// retry/backoff policy.
-    pub fn connect_uds_shared_with_retry(
-        path: impl AsRef<Path>,
-        space: Arc<GlobalSpace>,
-        retry: RetryPolicy,
-    ) -> Result<Self> {
-        Self::connect_uds_shared_tuned(path, space, retry, 0)
+        Self::connect_uds_shared_tuned(path, space, RetryPolicy::default(), 0)
     }
 
     /// Full-control shared-space connection: an explicit retry policy plus
@@ -709,23 +681,6 @@ impl Drop for ClientInner {
     }
 }
 
-/// Idle connections kept per client; one connection per concurrently
-/// calling thread is created on demand, so this only bounds the cached set.
-const MAX_IDLE_CONNECTIONS: usize = 16;
-
-/// How long an idle pooled connection may sit unused before it is closed.
-/// Expired connections are reaped on the next pool access (checkout or
-/// checkin) — there is no background reaper thread — so a burst of traffic
-/// stops pinning daemon handler threads as soon as the client touches the
-/// pool again, and at the latest when the client is dropped.
-const IDLE_CONNECTION_TTL: Duration = Duration::from_secs(30);
-
-/// Drops pooled connections idle for longer than the TTL. Timestamps are
-/// [`Clock`] readings, so an idle pool drains under virtual time too.
-fn prune_idle(idle: &mut Vec<(UnixStream, Duration)>, now: Duration) {
-    idle.retain(|(_, last_used)| now.saturating_sub(*last_used) < IDLE_CONNECTION_TTL);
-}
-
 /// `true` for I/O failures that a fresh connection may fix: the daemon
 /// closed (or was restarted under) a pooled socket, so a write lands on a
 /// dead peer or a read hits EOF. Logic errors (e.g. a malformed frame) are
@@ -983,154 +938,10 @@ impl RetryPolicy {
     }
 }
 
-/// A `Hello` flagged as a reconnection (the daemon counts these in its
-/// stats); requests default connection parameters like [`Request::hello`].
-fn hello_reconnect(creds: Credentials) -> Request {
-    Request::Hello {
-        creds,
-        max_in_flight: 0,
-        pool_depth: 0,
-        reconnect: true,
-    }
-}
-
-/// Client-side endpoint speaking the framed protocol over a UNIX socket.
-///
-/// Maintains a pool of daemon connections instead of one mutex-guarded
-/// stream: each call checks out an idle connection (or opens a fresh one),
-/// so threads issue requests to the daemon in parallel and the daemon's
-/// per-connection handler threads serve them concurrently. Idle
-/// connections are pruned after [`IDLE_CONNECTION_TTL`], and a call that
-/// fails transiently — a stale pooled socket, or a connect refused while
-/// the daemon finishes (re)starting — is retried under the endpoint's
-/// [`RetryPolicy`] on fresh connections.
-struct UdsEndpoint {
-    path: std::path::PathBuf,
-    idle: Mutex<Vec<(UnixStream, Duration)>>,
-    retry: RetryPolicy,
-    /// Shared with `retry`: one time source covers backoff sleeps and the
-    /// idle pool's TTL timestamps.
-    clock: Clock,
-    /// Set after the first successful handshake; later dials flag
-    /// themselves `reconnect` in `Hello` so the daemon's stats count them.
-    connected_once: std::sync::atomic::AtomicBool,
-    /// Client-local reporter (shared with the retry policy and the owning
-    /// client).
-    metrics: Arc<ClientMetrics>,
-}
-
-impl UdsEndpoint {
-    fn new(path: &Path, retry: RetryPolicy) -> Self {
-        UdsEndpoint {
-            path: path.to_path_buf(),
-            idle: Mutex::new(Vec::new()),
-            clock: retry.clock().clone(),
-            retry,
-            connected_once: std::sync::atomic::AtomicBool::new(false),
-            metrics: Arc::new(ClientMetrics::default()),
-        }
-    }
-
-    /// Shares a client-local reporter (also wired into the retry policy so
-    /// its retry counts land in the same place).
-    fn with_client_metrics(mut self, metrics: Arc<ClientMetrics>) -> Self {
-        self.retry = self.retry.clone().with_metrics(Arc::clone(&metrics));
-        self.metrics = metrics;
-        self
-    }
-
-    /// Takes a live idle connection, or opens (and handshakes) a new one.
-    /// The `bool` is `true` for a pooled connection, whose liveness is
-    /// unknown — a transient failure on it warrants one retry.
-    fn checkout(&self) -> std::io::Result<(UnixStream, bool)> {
-        {
-            let mut idle = self.idle.lock();
-            prune_idle(&mut idle, self.clock.now());
-            if let Some((stream, _)) = idle.pop() {
-                return Ok((stream, true));
-            }
-        }
-        Ok((self.connect_fresh()?, false))
-    }
-
-    /// Opens and handshakes a new connection, retrying transient connect
-    /// failures (daemon restarting, cap rejections) under the endpoint's
-    /// backoff policy.
-    fn connect_fresh(&self) -> std::io::Result<UnixStream> {
-        self.retry.run(|_| self.try_connect())
-    }
-
-    fn try_connect(&self) -> std::io::Result<UnixStream> {
-        let mut stream = UnixStream::connect(&self.path)?;
-        let creds = Credentials::current_process();
-        let hello = if self
-            .connected_once
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            self.metrics
-                .reconnects
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            hello_reconnect(creds)
-        } else {
-            Request::hello(creds)
-        };
-        // Introduce the connection; the daemon replies with Welcome, which
-        // the pool consumes (the space geometry was recorded at connect).
-        puddles_proto::write_frame(&mut stream, &hello)?;
-        let _: Response = puddles_proto::read_frame(&mut stream)?;
-        self.connected_once
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        Ok(stream)
-    }
-
-    fn roundtrip(&self, stream: &mut UnixStream, req: &Request) -> std::io::Result<Response> {
-        puddles_proto::write_frame(stream, req)?;
-        puddles_proto::read_frame(stream)
-    }
-
-    /// Returns a connection that completed a full round trip to the pool;
-    /// an errored one is simply dropped (closed).
-    fn checkin(&self, stream: UnixStream) {
-        let now = self.clock.now();
-        let mut idle = self.idle.lock();
-        prune_idle(&mut idle, now);
-        if idle.len() < MAX_IDLE_CONNECTIONS {
-            idle.push((stream, now));
-        }
-    }
-}
-
-impl Endpoint for UdsEndpoint {
-    fn call(&self, req: &Request) -> std::io::Result<Response> {
-        let (mut stream, _reused) = self.checkout()?;
-        match self.roundtrip(&mut stream, req) {
-            Ok(resp) => {
-                self.checkin(stream);
-                Ok(resp)
-            }
-            Err(e) if is_transient(&e) && is_idempotent(req) => {
-                // The connection died under the request (stale pooled
-                // socket, daemon restart, injected reset). The daemon may
-                // have applied the request and lost only the response, so
-                // only idempotent requests are re-sent — each retry on a
-                // known-fresh connection, under the backoff policy.
-                self.retry.run(|_| {
-                    let mut stream = self.try_connect()?;
-                    let resp = self.roundtrip(&mut stream, req)?;
-                    self.checkin(stream);
-                    Ok(resp)
-                })
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
 /// Connections a [`PipelinedEndpoint`] multiplexes calls over until the
 /// daemon grants a pool depth in `Welcome` (the grant then takes over).
 /// Each carries up to the connection's negotiated window of in-flight
-/// requests, so a couple of sockets serve far more concurrent callers than
-/// the old one-request-per-connection pool.
+/// requests, so a couple of sockets serve many concurrent callers.
 const PIPELINE_CONNECTIONS: usize = 2;
 
 /// One caller parked on a pipelined response.
@@ -1163,7 +974,7 @@ impl Waiter {
     }
 }
 
-/// One v2 connection: a shared writer, a reader thread, and the id→waiter
+/// One daemon connection: a shared writer, a reader thread, and the id→waiter
 /// completion map that pairs out-of-order responses with their callers.
 struct PipeConn {
     /// Write half (a `try_clone` of the socket; the reader owns the other).
@@ -1182,8 +993,8 @@ struct PipeConn {
 }
 
 impl PipeConn {
-    /// Wraps an already-connected (and preamble-sent) stream, spawning the
-    /// reader thread (tests drive a connection without an endpoint).
+    /// Wraps an already-connected stream, spawning the reader thread (tests
+    /// drive a connection without an endpoint).
     #[cfg(test)]
     fn over_stream(stream: UnixStream) -> std::io::Result<Arc<PipeConn>> {
         PipeConn::over_stream_with(stream, Arc::new(ClientMetrics::default()))
@@ -1219,18 +1030,20 @@ impl PipeConn {
     /// Sends one enveloped request and blocks until the reader fills this
     /// call's waiter. Any number of calls may be in flight concurrently.
     fn call(&self, req: &Request) -> std::io::Result<Response> {
-        if self.is_dead() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "pipelined connection is closed",
-            ));
-        }
         let req_id = self
             .next_id
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let waiter = Arc::new(Waiter::new());
         let in_flight = {
             let mut pending = self.pending.lock();
+            // Checked under the lock `fail_all` drains under: a waiter
+            // inserted after that drain would never be filled.
+            if self.is_dead() {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "pipelined connection is closed",
+                ));
+            }
             pending.insert(req_id, Arc::clone(&waiter));
             pending.len() as u64
         };
@@ -1270,11 +1083,10 @@ impl PipeConn {
     }
 }
 
-/// The reader half of one pipelined connection: decodes server frames and
-/// routes each to its waiter by id. Exits — failing all parked callers — on
-/// EOF, an I/O error, or a protocol violation (an id nobody is waiting on,
-/// or a bare frame after the handshake, which can only be the acceptor's
-/// `Busy` rejection).
+/// The reader half of one pipelined connection: decodes response envelopes
+/// and routes each to its waiter by id. Exits — failing all parked callers
+/// — on EOF, an I/O error, an undecodable frame, or a frame whose id has no
+/// waiter (see [`unmatched_frame_error`]).
 fn reader_loop(conn: Arc<PipeConn>, mut stream: UnixStream) {
     use std::io::Read;
     let mut decoder = puddles_proto::frame::FrameDecoder::new();
@@ -1290,21 +1102,13 @@ fn reader_loop(conn: Arc<PipeConn>, mut stream: UnixStream) {
             Ok(n) => {
                 decoder.feed(&buf[..n]);
                 loop {
-                    match decoder.next_frame::<puddles_proto::ServerFrame>() {
-                        Ok(Some(puddles_proto::ServerFrame::Enveloped(env))) => {
+                    match decoder.next_frame::<puddles_proto::ResponseEnvelope>() {
+                        Ok(Some(env)) => {
                             let waiter = conn.pending.lock().remove(&env.req_id);
                             match waiter {
                                 Some(waiter) => waiter.fill(Ok(env.resp)),
-                                None => {
-                                    break 'read std::io::Error::new(
-                                        std::io::ErrorKind::InvalidData,
-                                        format!("response for unknown req_id {}", env.req_id),
-                                    )
-                                }
+                                None => break 'read unmatched_frame_error(env),
                             }
-                        }
-                        Ok(Some(puddles_proto::ServerFrame::Bare(resp))) => {
-                            break 'read bare_frame_error(resp)
                         }
                         Ok(None) => break,
                         Err(e) => break 'read e,
@@ -1318,12 +1122,13 @@ fn reader_loop(conn: Arc<PipeConn>, mut stream: UnixStream) {
     conn.fail_all(&failure);
 }
 
-/// Maps a bare (un-enveloped) server frame to the error every parked caller
-/// gets. The daemon only sends one legitimately: the pre-handshake `Busy`
-/// rejection at the connection cap, which maps to `ConnectionRefused` so
-/// callers treat it as transient and back off.
-fn bare_frame_error(resp: Response) -> std::io::Error {
-    match resp {
+/// Maps a response envelope no caller is waiting on to the error every
+/// parked caller gets. The daemon sends one legitimately: the acceptor's
+/// `Busy` rejection at the connection cap (`req_id` 0, which no request
+/// uses), mapped to `ConnectionRefused` so callers treat it as transient
+/// and back off. Anything else is a protocol violation.
+fn unmatched_frame_error(env: puddles_proto::ResponseEnvelope) -> std::io::Error {
+    match env.resp {
         Response::Error {
             code: puddles_proto::ErrorCode::Busy,
             message,
@@ -1333,19 +1138,19 @@ fn bare_frame_error(resp: Response) -> std::io::Error {
         ),
         other => std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("bare frame on a pipelined connection: {other:?}"),
+            format!("response for unknown req_id {}: {other:?}", env.req_id),
         ),
     }
 }
 
-/// Client-side endpoint speaking the pipelined v2 protocol.
+/// Client-side endpoint speaking the pipelined socket protocol.
 ///
 /// Keeps a small pool of connections ([`PIPELINE_CONNECTIONS`]) and spreads
 /// calls round-robin across them; each connection multiplexes any number of
 /// concurrent callers through its id→waiter map, so client threads never
-/// wait for each other's round trips (the old v1 pool dedicated one socket
-/// per concurrent call). Dead connections are replaced on the next call; a
-/// call that fails transiently on an idempotent request is retried once.
+/// wait for each other's round trips. Dead connections are replaced on the
+/// next call; a call that fails transiently on an idempotent request is
+/// retried once.
 struct PipelinedEndpoint {
     path: std::path::PathBuf,
     pool: Mutex<Vec<Arc<PipeConn>>>,
@@ -1412,7 +1217,7 @@ impl PipelinedEndpoint {
         Ok(Arc::clone(&pool[i]))
     }
 
-    /// Dials and handshakes a new v2 connection, retrying transient
+    /// Dials and handshakes a new connection, retrying transient
     /// failures (daemon restarting, or its connection cap — the `Busy`
     /// rejection surfaces as `ConnectionRefused`) with bounded exponential
     /// backoff, so a client at the cap eventually gets through once load
@@ -1422,10 +1227,7 @@ impl PipelinedEndpoint {
     }
 
     fn try_connect_conn(&self) -> std::io::Result<Arc<PipeConn>> {
-        use std::io::Write;
-        let mut stream = UnixStream::connect(&self.path)?;
-        // The version preamble: everything after it is enveloped frames.
-        stream.write_all(&puddles_proto::frame::V2_MAGIC)?;
+        let stream = UnixStream::connect(&self.path)?;
         let conn = PipeConn::over_stream_with(stream, Arc::clone(&self.metrics))?;
         let creds = Credentials::current_process();
         let reconnect = self
@@ -1497,26 +1299,6 @@ impl Drop for PipelinedEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prune_idle_drops_only_expired_connections() {
-        // Entries stamped `base` are past the TTL at pruning time `now`,
-        // fresh ones are not.
-        let base = Duration::from_secs(100);
-        let now = base + IDLE_CONNECTION_TTL + Duration::from_secs(1);
-        let mut idle = Vec::new();
-        for _ in 0..2 {
-            let (a, _b) = UnixStream::pair().unwrap();
-            idle.push((a, base));
-        }
-        for _ in 0..3 {
-            let (a, _b) = UnixStream::pair().unwrap();
-            idle.push((a, now));
-        }
-        prune_idle(&mut idle, now);
-        assert_eq!(idle.len(), 3);
-        assert!(idle.iter().all(|(_, t)| *t == now));
-    }
 
     #[test]
     fn only_idempotent_requests_are_retried() {
@@ -1677,14 +1459,20 @@ mod tests {
 
     #[test]
     fn busy_frames_map_to_transient_connection_refused() {
-        let err = bare_frame_error(Response::Error {
-            code: puddles_proto::ErrorCode::Busy,
-            message: "cap".into(),
+        let err = unmatched_frame_error(puddles_proto::ResponseEnvelope {
+            req_id: 0,
+            resp: Response::Error {
+                code: puddles_proto::ErrorCode::Busy,
+                message: "cap".into(),
+            },
         });
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
         assert!(is_transient(&err));
-        // Any other bare frame is a protocol violation, not retryable.
-        let err = bare_frame_error(Response::Ok);
+        // Any other unmatched frame is a protocol violation, not retryable.
+        let err = unmatched_frame_error(puddles_proto::ResponseEnvelope {
+            req_id: 7,
+            resp: Response::Ok,
+        });
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(!is_transient(&err));
     }
@@ -1809,9 +1597,6 @@ mod tests {
                 let mut pings_to_drop = drop_pings;
                 for _ in 0..conns {
                     let (mut stream, _) = listener.accept().unwrap();
-                    let mut magic = [0u8; frame::V2_MAGIC.len()];
-                    stream.read_exact(&mut magic).unwrap();
-                    assert_eq!(magic, frame::V2_MAGIC);
                     let mut dec = FrameDecoder::new();
                     let mut buf = [0u8; 4096];
                     'conn: loop {
@@ -1943,6 +1728,71 @@ mod tests {
             if let Some(handle) = handle {
                 let _ = handle.join();
             }
+        }
+
+        /// Callers racing the reader's death never park. The reader dies on
+        /// a protocol violation while the peer keeps its socket open, so a
+        /// caller's write still succeeds: a waiter inserted after
+        /// `fail_all`'s drain would never be filled. Every call on the dying
+        /// connection must return an error, within a watchdog bound.
+        #[test]
+        fn callers_racing_a_dying_reader_never_hang() {
+            const ROUNDS: usize = 200;
+            const CALLS_PER_CALLER: usize = 50;
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
+                    let conn = PipeConn::over_stream(client_sock).unwrap();
+                    // Fake daemon: answers the first request under an id
+                    // nobody sent, then keeps reading (and the socket
+                    // open) until the client closes.
+                    let server = std::thread::spawn(move || {
+                        let mut dec = FrameDecoder::new();
+                        let mut buf = [0u8; 4096];
+                        let mut answered = false;
+                        while let Ok(n @ 1..) = server_sock.read(&mut buf) {
+                            if answered {
+                                continue;
+                            }
+                            dec.feed(&buf[..n]);
+                            if let Some(env) = dec.next_frame::<RequestEnvelope>().unwrap() {
+                                let resp = ResponseEnvelope {
+                                    req_id: env.req_id.wrapping_add(1000),
+                                    resp: Response::Ok,
+                                };
+                                server_sock
+                                    .write_all(&frame::encode_frame(&resp).unwrap())
+                                    .unwrap();
+                                answered = true;
+                            }
+                        }
+                    });
+                    let callers: Vec<_> = (0..CALLERS)
+                        .map(|_| {
+                            let conn = Arc::clone(&conn);
+                            std::thread::spawn(move || {
+                                for _ in 0..CALLS_PER_CALLER {
+                                    assert!(conn.call(&Request::Ping).is_err());
+                                }
+                            })
+                        })
+                        .collect();
+                    for caller in callers {
+                        caller.join().unwrap();
+                    }
+                    conn.close();
+                    let handle = conn.reader.lock().take();
+                    if let Some(handle) = handle {
+                        let _ = handle.join();
+                    }
+                    server.join().unwrap();
+                }
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a caller hung (or failed) on a connection whose reader died");
         }
     }
 }

@@ -261,7 +261,7 @@ impl ShardedHistogram {
 ///
 /// | kind | `detail` | `a` | `b` |
 /// |------|----------|-----|-----|
-/// | `ReqStart` / `ReqEnd` | request kind | req_id (0 = local/v1) | — |
+/// | `ReqStart` / `ReqEnd` | request kind | req_id (0 = local) | — |
 /// | `WalCommit` | — | records in batch | batch bytes |
 /// | `CheckpointBegin` / `CheckpointEnd` | — | WAL records at cut | — |
 /// | `Coalesce` | `lazy` / `forced` | 1 if the pass merged | — |

@@ -7,19 +7,6 @@ use std::io::{self, Read, Write};
 /// Maximum accepted frame size (16 MiB); guards against corrupt prefixes.
 pub const MAX_FRAME: u32 = 16 << 20;
 
-/// Protocol-v2 connection preamble.
-///
-/// A v2 client writes these 4 bytes once, immediately after connecting and
-/// before its first frame; everything after them is `RequestEnvelope` /
-/// `ResponseEnvelope` frames (see the crate docs). The bytes are chosen so
-/// they can never be confused with a v1 frame: interpreted as a v1
-/// little-endian length prefix they decode to `0x3244_5550`, far above
-/// [`MAX_FRAME`], so a v1 peer rejects the stream instead of misparsing it
-/// (and a v1 first frame, whose prefix is always ≤ [`MAX_FRAME`], can never
-/// equal the magic). `version_negotiation_magic_cannot_be_a_v1_prefix`
-/// pins this down.
-pub const V2_MAGIC: [u8; 4] = *b"PUD2";
-
 /// Encodes one length-prefixed JSON frame into a byte buffer (prefix
 /// included). The single place that knows the frame encoding; writers that
 /// need custom I/O (e.g. interruptible writes) send these bytes verbatim.
@@ -89,24 +76,6 @@ impl FrameDecoder {
         self.buf.len()
     }
 
-    /// Returns the first `n` buffered bytes without consuming them, or
-    /// `None` if fewer are buffered. Servers use this to sniff the
-    /// [`V2_MAGIC`] preamble before deciding how to decode the stream.
-    pub fn peek(&self, n: usize) -> Option<&[u8]> {
-        (self.buf.len() >= n).then(|| &self.buf[..n])
-    }
-
-    /// Discards the first `n` buffered bytes (the caller has interpreted
-    /// them out of band, e.g. the [`V2_MAGIC`] preamble).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` bytes are buffered.
-    pub fn consume(&mut self, n: usize) {
-        assert!(self.buf.len() >= n, "consume past the buffered bytes");
-        self.buf.drain(..n);
-    }
-
     /// Decodes the next complete frame, if the buffer holds one.
     ///
     /// Returns `Ok(None)` while the frame is still incomplete. A corrupt
@@ -140,18 +109,27 @@ pub fn read_frame<R: Read, T: DeserializeOwned>(reader: &mut R) -> io::Result<T>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Request, Response};
+    use crate::{Request, RequestEnvelope, Response, ResponseEnvelope};
 
     #[test]
     fn frame_roundtrip() {
+        let req = RequestEnvelope {
+            req_id: 1,
+            req: Request::Ping,
+        };
+        let resp = ResponseEnvelope {
+            req_id: 1,
+            resp: Response::Ok,
+        };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Ping).unwrap();
-        write_frame(&mut buf, &Response::Ok).unwrap();
+        write_frame(&mut buf, &req).unwrap();
+        write_frame(&mut buf, &resp).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        let req: Request = read_frame(&mut cursor).unwrap();
-        let resp: Response = read_frame(&mut cursor).unwrap();
-        assert_eq!(req, Request::Ping);
-        assert_eq!(resp, Response::Ok);
+        assert_eq!(read_frame::<_, RequestEnvelope>(&mut cursor).unwrap(), req);
+        assert_eq!(
+            read_frame::<_, ResponseEnvelope>(&mut cursor).unwrap(),
+            resp
+        );
     }
 
     #[test]
@@ -172,9 +150,10 @@ mod tests {
         assert!(read_frame::<_, Request>(&mut cursor).is_err());
     }
 
-    /// A stream of frames the decoder tests chop up.
-    fn sample_stream() -> (Vec<Request>, Vec<u8>) {
-        let reqs = vec![
+    /// A stream of enveloped requests the decoder tests chop up; each
+    /// request keeps a distinct `req_id`.
+    fn sample_stream() -> (Vec<RequestEnvelope>, Vec<u8>) {
+        let reqs: Vec<RequestEnvelope> = vec![
             Request::Ping,
             Request::OpenPool {
                 name: "pool-with-a-longer-name".into(),
@@ -186,7 +165,14 @@ mod tests {
                 mode: 0o640,
             },
             Request::Ping,
-        ];
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, req)| RequestEnvelope {
+            req_id: 1000 + i as u64,
+            req,
+        })
+        .collect();
         let mut bytes = Vec::new();
         for req in &reqs {
             bytes.extend_from_slice(&encode_frame(req).unwrap());
@@ -198,7 +184,7 @@ mod tests {
     fn decoder_yields_frames_fed_byte_by_byte() {
         let (reqs, bytes) = sample_stream();
         let mut dec = FrameDecoder::new();
-        let mut out: Vec<Request> = Vec::new();
+        let mut out: Vec<RequestEnvelope> = Vec::new();
         for b in bytes {
             dec.feed(&[b]);
             while let Some(req) = dec.next_frame().unwrap() {
@@ -214,7 +200,7 @@ mod tests {
         let (reqs, bytes) = sample_stream();
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
-        let mut out: Vec<Request> = Vec::new();
+        let mut out: Vec<RequestEnvelope> = Vec::new();
         while let Some(req) = dec.next_frame().unwrap() {
             out.push(req);
         }
@@ -228,40 +214,21 @@ mod tests {
         assert!(dec.next_frame::<Request>().is_err());
     }
 
-    #[test]
-    fn version_negotiation_magic_cannot_be_a_v1_prefix() {
-        // As a v1 length prefix the magic must be rejected outright, so a
-        // v2 preamble reaching a v1 decoder fails instead of misparsing.
-        assert!(u32::from_le_bytes(V2_MAGIC) > MAX_FRAME);
-        assert!(frame_len(V2_MAGIC).is_err());
-    }
-
-    #[test]
-    fn peek_and_consume_strip_a_preamble() {
-        let mut dec = FrameDecoder::new();
-        dec.feed(&V2_MAGIC[..2]);
-        assert_eq!(dec.peek(4), None, "partial preamble is not peekable");
-        dec.feed(&V2_MAGIC[2..]);
-        dec.feed(&encode_frame(&Request::Ping).unwrap());
-        assert_eq!(dec.peek(4), Some(&V2_MAGIC[..]));
-        dec.consume(4);
-        assert_eq!(dec.next_frame::<Request>().unwrap(), Some(Request::Ping));
-        assert_eq!(dec.buffered(), 0);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(64))]
 
         /// Frames split across arbitrary read boundaries decode exactly as
-        /// the unsplit stream: the reactor's invariant that socket read
-        /// chunking can never change what the daemon sees.
+        /// the unsplit stream, every request keeping its `req_id`: the
+        /// reactor's invariant that socket read chunking can change neither
+        /// what the daemon sees nor the id→request pairing pipelining
+        /// relies on.
         #[test]
         fn decoder_is_chunking_invariant(
             cuts in proptest::collection::vec(1usize..24, 0..40)
         ) {
             let (reqs, bytes) = sample_stream();
             let mut dec = FrameDecoder::new();
-            let mut out: Vec<Request> = Vec::new();
+            let mut out: Vec<RequestEnvelope> = Vec::new();
             let mut pos = 0usize;
             // Interpret the sampled values as successive chunk lengths;
             // whatever remains after the last cut is fed in one piece.
@@ -281,63 +248,6 @@ mod tests {
                 out.push(req);
             }
             proptest::prop_assert_eq!(&out, &reqs);
-            proptest::prop_assert_eq!(dec.buffered(), 0);
-        }
-
-        /// A v2 stream — magic preamble plus enveloped frames — fed at
-        /// arbitrary split boundaries negotiates and decodes exactly as the
-        /// unsplit stream, with every request keeping its `req_id`. This is
-        /// the daemon-side invariant behind pipelining: chunking can change
-        /// neither the version decision nor id→request pairing.
-        #[test]
-        fn v2_stream_is_chunking_invariant(
-            cuts in proptest::collection::vec(1usize..24, 0..40)
-        ) {
-            let (reqs, _) = sample_stream();
-            let envelopes: Vec<crate::RequestEnvelope> = reqs
-                .into_iter()
-                .enumerate()
-                .map(|(i, req)| crate::RequestEnvelope {
-                    req_id: 1000 + i as u64,
-                    req,
-                })
-                .collect();
-            let mut bytes = V2_MAGIC.to_vec();
-            for env in &envelopes {
-                bytes.extend_from_slice(&encode_frame(env).unwrap());
-            }
-            let mut dec = FrameDecoder::new();
-            let mut negotiated = false;
-            let mut out: Vec<crate::RequestEnvelope> = Vec::new();
-            let drain = |dec: &mut FrameDecoder, negotiated: &mut bool,
-                             out: &mut Vec<crate::RequestEnvelope>| {
-                if !*negotiated {
-                    match dec.peek(4) {
-                        Some(head) if head == V2_MAGIC => {
-                            dec.consume(4);
-                            *negotiated = true;
-                        }
-                        Some(_) => panic!("v2 preamble misread as a v1 prefix"),
-                        None => return,
-                    }
-                }
-                while let Some(env) = dec.next_frame().unwrap() {
-                    out.push(env);
-                }
-            };
-            let mut pos = 0usize;
-            for cut in cuts {
-                if pos >= bytes.len() {
-                    break;
-                }
-                let end = (pos + cut).min(bytes.len());
-                dec.feed(&bytes[pos..end]);
-                pos = end;
-                drain(&mut dec, &mut negotiated, &mut out);
-            }
-            dec.feed(&bytes[pos..]);
-            drain(&mut dec, &mut negotiated, &mut out);
-            proptest::prop_assert_eq!(&out, &envelopes);
             proptest::prop_assert_eq!(dec.buffered(), 0);
         }
     }

@@ -22,19 +22,15 @@ pub enum Request {
     Hello {
         /// Client credentials used for access-control decisions.
         creds: Credentials,
-        /// Requested per-connection in-flight request window (protocol v2
-        /// pipelining). `0` asks for the server default; the server clamps
-        /// to its configured maximum and reports the grant in `Welcome`.
-        /// Defaulted so `Hello` frames from older clients still parse.
-        #[serde(default)]
+        /// Requested per-connection in-flight request window (pipelining).
+        /// `0` asks for the server default; the server clamps to its
+        /// configured maximum and reports the grant in `Welcome`.
         max_in_flight: u32,
         /// Requested client-side connection-pool depth. `0` asks for the
         /// server default; clamped and granted like `max_in_flight`.
-        #[serde(default)]
         pool_depth: u32,
         /// `true` when this `Hello` re-establishes a connection the client
         /// already had (retry/backoff path); counted in daemon stats.
-        #[serde(default)]
         reconnect: bool,
     },
     /// Allocates a new puddle of `size` bytes.
@@ -122,8 +118,7 @@ pub enum Request {
     /// Returns daemon statistics.
     Stats,
     /// Returns the daemon's latency histograms and counters (the
-    /// observability plane; `Stats` keeps the flat counter set for older
-    /// clients).
+    /// observability plane; `Stats` keeps the flat counter set).
     GetMetrics,
     /// A no-op round trip, used to measure daemon latency (§5.1).
     Ping,
@@ -141,15 +136,11 @@ pub enum Response {
         space_base: u64,
         /// Size of the global puddle space in bytes.
         space_size: u64,
-        /// Granted per-connection in-flight window (the requested value
-        /// clamped to the server's configured maximum; v1 connections are
-        /// always granted 1). Defaulted (`0` = no grant information) so a
-        /// `Welcome` from an older daemon still parses.
-        #[serde(default)]
+        /// Granted per-connection in-flight window: the requested value
+        /// clamped to the server's configured maximum.
         max_in_flight: u32,
         /// Granted client connection-pool depth (`0` = no grant
         /// information, keep the client's current depth).
-        #[serde(default)]
         pool_depth: u32,
     },
     /// A puddle was created or opened.
@@ -187,12 +178,13 @@ pub enum Response {
     },
 }
 
-/// A protocol-v2 request frame: a client-assigned id plus the request.
+/// A client→daemon frame: a client-assigned id plus the request.
 ///
-/// Ids are chosen by the client (any `u64`; monotonically increasing in
-/// practice) and echoed back verbatim in the matching [`ResponseEnvelope`].
-/// A v2 daemon may complete and write responses in any order, so the id is
-/// the only way to pair a response with its request.
+/// Ids are chosen by the client (any `u64` but 0, which the daemon reserves
+/// for frames that answer no request; monotonically increasing in practice)
+/// and echoed back verbatim in the matching [`ResponseEnvelope`]. The daemon
+/// may complete and write responses in any order, so the id is the only way
+/// to pair a response with its request.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RequestEnvelope {
     /// Client-assigned request id, echoed in the response.
@@ -201,52 +193,21 @@ pub struct RequestEnvelope {
     pub req: Request,
 }
 
-/// A protocol-v2 response frame: the echoed id plus the response.
+/// A daemon→client frame: the echoed id plus the response.
+///
+/// Every frame the daemon writes is one of these, including the acceptor's
+/// `Busy` rejection at the connection cap, which answers no request and so
+/// carries `req_id` 0.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ResponseEnvelope {
-    /// The id of the request this response answers.
+    /// The id of the request this response answers (0 for none).
     pub req_id: u64,
     /// The wrapped response.
     pub resp: Response,
 }
 
-/// A daemon→client frame as a v2 client must parse it.
-///
-/// Almost every frame on a v2 connection is a [`ResponseEnvelope`], but the
-/// daemon can emit one bare v1 [`Response`] before it has seen the client's
-/// preamble: the `Busy` rejection written when the connection cap is hit.
-/// Decoding is structural — an object carrying a `req_id` key is an
-/// envelope, anything else is a bare response — so no extra tag byte is
-/// needed on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerFrame {
-    /// An id-tagged v2 response.
-    Enveloped(ResponseEnvelope),
-    /// A bare v1 response (pre-handshake `Busy` rejection).
-    Bare(Response),
-}
-
-impl Serialize for ServerFrame {
-    fn serialize(&self) -> serde::Value {
-        match self {
-            ServerFrame::Enveloped(env) => env.serialize(),
-            ServerFrame::Bare(resp) => resp.serialize(),
-        }
-    }
-}
-
-impl Deserialize for ServerFrame {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let is_envelope = v
-            .as_map()
-            .is_some_and(|m| m.iter().any(|(k, _)| k == "req_id"));
-        if is_envelope {
-            Ok(ServerFrame::Enveloped(ResponseEnvelope::deserialize(v)?))
-        } else {
-            Ok(ServerFrame::Bare(Response::deserialize(v)?))
-        }
-    }
-}
+/// A daemon→client frame as a client decodes it.
+pub type ServerFrame = ResponseEnvelope;
 
 impl Request {
     /// A `Hello` with default connection parameters (server picks the
@@ -291,7 +252,7 @@ impl std::error::Error for ProtoError {}
 /// A bidirectional request/response channel to the daemon.
 ///
 /// Implemented by the in-process endpoint (`puddled::LocalEndpoint`) and by
-/// the UNIX-domain-socket client (`puddles::client::UdsEndpoint`).
+/// the UNIX-domain-socket client's pipelined endpoint.
 pub trait Endpoint: Send + Sync {
     /// Sends one request and waits for its response.
     fn call(&self, req: &Request) -> std::io::Result<Response>;
@@ -344,44 +305,10 @@ mod tests {
         }
     }
 
-    /// `Hello`/`Welcome` grew negotiation fields after the wire format
-    /// shipped; frames from peers that predate them must still parse, with
-    /// the absent fields falling back to "server default" semantics.
+    /// `GetMetrics` and its report survive the envelope round trip in both
+    /// directions.
     #[test]
-    fn hello_and_welcome_without_negotiation_fields_still_parse() {
-        let old_hello = r#"{"Hello":{"creds":{"uid":1000,"gid":100}}}"#;
-        let req: Request = serde_json::from_str(old_hello).unwrap();
-        assert_eq!(
-            req,
-            Request::hello(Credentials {
-                uid: 1000,
-                gid: 100
-            })
-        );
-
-        let old_welcome = r#"{"Welcome":{"space_base":4096,"space_size":8192}}"#;
-        let resp: Response = serde_json::from_str(old_welcome).unwrap();
-        assert_eq!(
-            resp,
-            Response::Welcome {
-                space_base: 4096,
-                space_size: 8192,
-                max_in_flight: 0,
-                pool_depth: 0,
-            }
-        );
-    }
-
-    /// `GetMetrics` must interoperate across both wire protocols: as a v1
-    /// bare frame and inside v2 envelopes, with reports from peers that
-    /// predate the trace-ring fields still parsing.
-    #[test]
-    fn get_metrics_interops_across_protocol_versions() {
-        let json = serde_json::to_string(&Request::GetMetrics).unwrap();
-        assert_eq!(
-            serde_json::from_str::<Request>(&json).unwrap(),
-            Request::GetMetrics
-        );
+    fn get_metrics_roundtrips_in_envelopes() {
         let env = RequestEnvelope {
             req_id: 9,
             req: Request::GetMetrics,
@@ -406,44 +333,15 @@ mod tests {
             trace_buffered: 9,
             trace_dropped: 0,
         };
-        // v1: a bare response frame.
-        let bare = Response::Metrics(report.clone());
-        let json = serde_json::to_string(&bare).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Bare(bare.clone()));
-        // v2: the same response enveloped.
         let env = ResponseEnvelope {
-            req_id: 42,
-            resp: bare,
+            req_id: 9,
+            resp: Response::Metrics(report),
         };
         let json = serde_json::to_string(&env).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Enveloped(env));
-        // A report without the trace fields (older daemon) still parses.
-        let old = r#"{"series":[],"counters":[]}"#;
-        let report: MetricsReport = serde_json::from_str(old).unwrap();
-        assert_eq!(report.trace_buffered, 0);
-        assert_eq!(report.trace_dropped, 0);
-    }
-
-    /// `reactor_connections` shipped as a fixed `[u64; 4]` before it became
-    /// a length-`reactors` `Vec`; frames in the old shape (and frames
-    /// without the reactor fields at all) must still decode.
-    #[test]
-    fn stats_frames_with_fixed_reactor_array_still_parse() {
-        let json = serde_json::to_string(&Response::Stats(DaemonStats::default())).unwrap();
-        let old_fixed = json
-            .replace(
-                "\"reactor_connections\":[]",
-                "\"reactor_connections\":[0,3,0,0]",
-            )
-            .replace("\"reactor_requests\":[],", "");
-        let back: Response = serde_json::from_str(&old_fixed).unwrap();
-        let Response::Stats(stats) = back else {
-            panic!("expected Stats, got {back:?}");
-        };
-        assert_eq!(stats.reactor_connections, vec![0, 3, 0, 0]);
-        assert!(stats.reactor_requests.is_empty(), "absent field defaults");
+        assert_eq!(
+            serde_json::from_str::<ResponseEnvelope>(&json).unwrap(),
+            env
+        );
     }
 
     #[test]
@@ -457,35 +355,6 @@ mod tests {
         .into_result()
         .unwrap_err();
         assert_eq!(err.code, ErrorCode::PermissionDenied);
-    }
-
-    #[test]
-    fn server_frame_distinguishes_envelopes_from_bare_responses() {
-        let env = ResponseEnvelope {
-            req_id: 7,
-            resp: Response::Welcome {
-                space_base: 0x1000,
-                space_size: 0x2000,
-                max_in_flight: 64,
-                pool_depth: 2,
-            },
-        };
-        let json = serde_json::to_string(&env).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Enveloped(env));
-
-        let bare = Response::Error {
-            code: ErrorCode::Busy,
-            message: "connection limit reached".into(),
-        };
-        let json = serde_json::to_string(&bare).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Bare(bare));
-
-        let unit = Response::Ok;
-        let json = serde_json::to_string(&unit).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Bare(unit));
     }
 
     #[test]

@@ -227,10 +227,8 @@ pub struct MetricsReport {
     /// Counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
     /// Trace events currently buffered in the daemon's trace ring.
-    #[serde(default)]
     pub trace_buffered: u64,
     /// Trace events dropped to ring-capacity overflow.
-    #[serde(default)]
     pub trace_dropped: u64,
 }
 
@@ -320,18 +318,15 @@ pub struct DaemonStats {
     /// accept-time placement skew observable: placement is least-loaded at
     /// accept only and connections never migrate, so a long-lived hot
     /// connection shows up here as a lopsided row.
-    #[serde(default)]
     pub reactor_connections: Vec<u64>,
     /// Requests dispatched from each reactor's connections since the
     /// socket server started (same indexing as `reactor_connections`).
     /// Placement skew shows where connections *sit*; this shows where the
     /// *work* goes — a balanced placement row with a lopsided request row
     /// is exactly the long-lived-hot-connection case.
-    #[serde(default)]
     pub reactor_requests: Vec<u64>,
     /// Reactor threads the attached socket server is running (0 when no
     /// socket server is attached, e.g. in-process endpoints).
-    #[serde(default)]
     pub reactors: u64,
 }
 

@@ -7,10 +7,9 @@
 //!             [--json [PATH]] [--watch SECS] [--require SERIES]...
 //! ```
 //!
-//! Connects over the daemon's UNIX socket (protocol v1 — one bare frame
-//! per round trip, so it works against any daemon version that answers
-//! `GetMetrics`), sends `Hello` then `GetMetrics`, and renders the
-//! latency histograms and counters.
+//! Connects over the daemon's UNIX socket, sends `Hello` (request id 1)
+//! then `GetMetrics` (id 2) as enveloped frames, one round trip at a time,
+//! and renders the latency histograms and counters.
 //!
 //! * default: a human-readable table on stdout;
 //! * `--json` (optionally followed by a path): the raw
@@ -21,7 +20,10 @@
 //!   series has a non-zero sample count and a finite, non-zero p99 —
 //!   the CI smoke gate ("the daemon actually timed requests under load").
 
-use puddles_proto::{frame, Credentials, MetricsReport, Request, Response, SeriesSnapshot};
+use puddles_proto::{
+    frame, Credentials, MetricsReport, Request, RequestEnvelope, Response, ResponseEnvelope,
+    SeriesSnapshot,
+};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::process::exit;
@@ -81,20 +83,28 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One protocol-v1 round trip: a bare request frame out, a bare response
-/// frame back.
-fn call(stream: &mut UnixStream, req: &Request) -> Result<Response, String> {
-    frame::write_frame(stream, req).map_err(|e| format!("send: {e}"))?;
-    frame::read_frame(stream).map_err(|e| format!("receive: {e}"))
+/// One enveloped round trip; the reply must echo `req_id`.
+fn call(stream: &mut UnixStream, req_id: u64, req: Request) -> Result<Response, String> {
+    frame::write_frame(stream, &RequestEnvelope { req_id, req })
+        .map_err(|e| format!("send: {e}"))?;
+    let env: ResponseEnvelope = frame::read_frame(stream).map_err(|e| format!("receive: {e}"))?;
+    if env.req_id != req_id {
+        return Err(format!(
+            "reply carries req_id {} (sent {req_id}): {:?}",
+            env.req_id, env.resp
+        ));
+    }
+    Ok(env.resp)
 }
 
 fn fetch(socket: &str) -> Result<MetricsReport, String> {
     let mut stream = UnixStream::connect(socket).map_err(|e| format!("connect {socket}: {e}"))?;
-    match call(&mut stream, &Request::hello(Credentials::current_process()))? {
+    let hello = Request::hello(Credentials::current_process());
+    match call(&mut stream, 1, hello)? {
         Response::Welcome { .. } => {}
         other => return Err(format!("unexpected handshake reply: {other:?}")),
     }
-    match call(&mut stream, &Request::GetMetrics)? {
+    match call(&mut stream, 2, Request::GetMetrics)? {
         Response::Metrics(report) => Ok(report),
         Response::Error { code, message } => Err(format!("daemon error {code:?}: {message}")),
         other => Err(format!("unexpected GetMetrics reply: {other:?}")),

@@ -56,7 +56,7 @@ fn arm_age_checkpoint(bg: Background, registry: std::sync::Weak<Registry>) {
     );
 }
 
-/// Default per-connection in-flight window granted to protocol-v2 clients
+/// Default per-connection in-flight window granted to clients
 /// that do not request one (matches `uds::MAX_PIPELINED_REQUESTS`).
 pub const DEFAULT_MAX_IN_FLIGHT: u32 = 64;
 
@@ -523,8 +523,8 @@ impl Daemon {
         self.handle_traced(creds, req, 0)
     }
 
-    /// [`Daemon::handle`] with the wire-protocol request id (0 for v1 bare
-    /// frames and in-process calls), so trace `req.start`/`req.end` pairs
+    /// [`Daemon::handle`] with the wire-protocol request id (0 for
+    /// in-process calls), so trace `req.start`/`req.end` pairs
     /// can be matched to pipelined responses. Times the request into its
     /// per-kind `service.*` latency series.
     pub(crate) fn handle_traced(&self, creds: Credentials, req: Request, req_id: u64) -> Response {

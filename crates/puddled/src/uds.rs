@@ -13,8 +13,9 @@
 //! * One **acceptor thread** owns the nonblocking listener. Each accepted
 //!   socket is handed to the least-loaded reactor whose slice of the
 //!   connection budget has room; at the global connection cap the acceptor
-//!   writes a [`puddles_proto::ErrorCode::Busy`] error frame and closes the
-//!   socket, so clients can back off instead of parsing a bare EOF.
+//!   writes a [`puddles_proto::ErrorCode::Busy`] error (enveloped with
+//!   `req_id` 0, since it answers no request) and closes the socket, so
+//!   clients can back off instead of parsing a bare EOF.
 //! * **N reactor threads** (default `min(cores, 4)`, see [`ServerConfig`])
 //!   each own a private poller, waker, and connection table: a reactor
 //!   reads whatever bytes its sockets have, feeds them to an incremental
@@ -32,16 +33,15 @@
 //!   never starve cheap metadata operations. Workers push the encoded
 //!   response to the owning reactor's completion queue and wake it.
 //!
-//! # Protocol versions
+//! # Protocol
 //!
-//! A connection speaks **v1** (bare `Request`/`Response` frames, one
-//! request in flight, responses in request order) unless its first four
-//! bytes are the [`puddles_proto::frame::V2_MAGIC`] preamble, which can
-//! never be a valid v1 length prefix. After the preamble every frame is an
-//! id-carrying envelope ([`puddles_proto::RequestEnvelope`] /
-//! [`puddles_proto::ResponseEnvelope`]): up to [`MAX_PIPELINED_REQUESTS`]
-//! requests may be in flight at once and responses complete — and are
-//! written — **out of order**, paired by `req_id`.
+//! Every frame a client sends is a [`puddles_proto::RequestEnvelope`] and
+//! every frame the daemon writes is a [`puddles_proto::ResponseEnvelope`].
+//! Up to the connection's negotiated window (at most
+//! [`MAX_PIPELINED_REQUESTS`]) of requests may be in flight at once, and
+//! responses complete — and are written — **out of order**, paired by
+//! `req_id`. A frame that does not decode as an envelope (or whose length
+//! prefix exceeds the frame cap) closes that connection only.
 //!
 //! # Backpressure
 //!
@@ -65,8 +65,8 @@
 use crate::service::{grant_limit, lane_of, Daemon, Lane, DEFAULT_MAX_IN_FLIGHT};
 use polling::{Event, Interest, Poller, Waker};
 use puddles_pmem::clock::Clock;
-use puddles_proto::frame::{FrameDecoder, V2_MAGIC};
-use puddles_proto::{frame, Credentials, Request, RequestEnvelope, Response, ResponseEnvelope};
+use puddles_proto::frame::{self, FrameDecoder};
+use puddles_proto::{Credentials, Request, RequestEnvelope, Response, ResponseEnvelope};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
@@ -95,7 +95,7 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 /// Requests a single connection may have parsed-but-undispatched plus in
 /// flight at once; above this the connection's read interest is dropped
 /// until completions drain (its socket fills; the kernel pushes back on the
-/// client). This is also the useful upper bound on a v2 client's pipeline
+/// client). This is also the useful upper bound on a client's pipeline
 /// depth.
 pub const MAX_PIPELINED_REQUESTS: usize = 64;
 
@@ -148,9 +148,8 @@ struct WorkItem {
     reactor: usize,
     /// Connection token within that reactor.
     conn: u64,
-    /// v2 request id to echo in the response envelope; `None` on v1
-    /// connections (bare response).
-    req_id: Option<u64>,
+    /// Request id to echo in the response envelope.
+    req_id: u64,
     creds: Credentials,
     req: Request,
 }
@@ -371,23 +370,6 @@ impl UdsServer {
         Self::start_with_config(daemon, path, ServerConfig::default())
     }
 
-    /// Starts the server with an explicit bound on simultaneous connections
-    /// (default reactor count).
-    pub fn start_with_limit(
-        daemon: Daemon,
-        path: impl AsRef<Path>,
-        max_connections: usize,
-    ) -> io::Result<UdsServer> {
-        Self::start_with_config(
-            daemon,
-            path,
-            ServerConfig {
-                max_connections,
-                ..ServerConfig::default()
-            },
-        )
-    }
-
     /// Starts the server with an explicit runtime shape.
     pub fn start_with_config(
         daemon: Daemon,
@@ -580,7 +562,7 @@ fn worker_loop(shared: &Arc<Shared>, role: WorkerRole) {
             .fetch_add(1, Ordering::Relaxed);
         let resp = shared
             .daemon
-            .handle_traced(item.creds, item.req, item.req_id.unwrap_or(0));
+            .handle_traced(item.creds, item.req, item.req_id);
         let encoded = encode_response(item.req_id, resp);
         let bytes = encoded.unwrap_or_else(|e| {
             // Unencodable response (outsized payload): report the failure
@@ -597,14 +579,9 @@ fn worker_loop(shared: &Arc<Shared>, role: WorkerRole) {
     }
 }
 
-/// Encodes a response as the connection's protocol version demands: a
-/// [`ResponseEnvelope`] echoing the request id on v2, a bare [`Response`]
-/// on v1.
-fn encode_response(req_id: Option<u64>, resp: Response) -> io::Result<Vec<u8>> {
-    match req_id {
-        Some(req_id) => frame::encode_frame(&ResponseEnvelope { req_id, resp }),
-        None => frame::encode_frame(&resp),
-    }
+/// Encodes a response frame: a [`ResponseEnvelope`] echoing `req_id`.
+fn encode_response(req_id: u64, resp: Response) -> io::Result<Vec<u8>> {
+    frame::encode_frame(&ResponseEnvelope { req_id, resp })
 }
 
 /// Reads SO_PEERCRED credentials from a connected UNIX socket.
@@ -653,9 +630,8 @@ struct Acceptor {
     accept_backoff_until: Option<Duration>,
     /// The daemon's time source (virtual under torture).
     clock: Clock,
-    /// Pre-encoded `Busy` rejection frame (a bare v1 response: it is sent
-    /// before the client's preamble could have been read, and v2 clients
-    /// decode bare frames via `ServerFrame`).
+    /// Pre-encoded `Busy` rejection frame, enveloped with `req_id` 0 (it
+    /// answers no request; client ids start at 1).
     busy_frame: Vec<u8>,
 }
 
@@ -668,10 +644,13 @@ impl Acceptor {
         let poller = Poller::new()?;
         poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
         poller.add(shared.acceptor_waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
-        let busy_frame = frame::encode_frame(&Response::Error {
-            code: puddles_proto::ErrorCode::Busy,
-            message: format!("connection limit reached ({max_connections})"),
-        })?;
+        let busy_frame = encode_response(
+            0,
+            Response::Error {
+                code: puddles_proto::ErrorCode::Busy,
+                message: format!("connection limit reached ({max_connections})"),
+            },
+        )?;
         let clock = shared.daemon.clock().clone();
         Ok(Acceptor {
             shared,
@@ -798,30 +777,17 @@ impl Acceptor {
 
 // -- Connections ------------------------------------------------------------
 
-/// Wire protocol spoken by one connection, fixed by its first bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnProto {
-    /// Fewer than four bytes seen; could still become either version.
-    Unknown,
-    /// Bare frames, one request in flight, responses in request order.
-    V1,
-    /// Enveloped frames, pipelined, responses out of order.
-    V2,
-}
-
 /// Per-connection state machine.
 struct Conn {
     stream: UnixStream,
     decoder: FrameDecoder,
-    proto: ConnProto,
     /// Kernel-verified peer credentials captured at accept (when available).
     peer: Option<Credentials>,
     /// Effective credentials, fixed by the first frame (peer credentials
     /// override whatever the client claims in `Hello`).
     creds: Option<Credentials>,
-    /// Parsed requests not yet dispatched: `(req_id, request)` with the id
-    /// present exactly on v2 connections.
-    pending: VecDeque<(Option<u64>, Request)>,
+    /// Parsed requests not yet dispatched: `(req_id, request)`.
+    pending: VecDeque<(u64, Request)>,
     /// Requests from this connection currently with the worker pool.
     in_flight: usize,
     /// Encoded response bytes not yet accepted by the socket.
@@ -848,7 +814,6 @@ impl Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(),
-            proto: ConnProto::Unknown,
             peer,
             creds: None,
             pending: VecDeque::new(),
@@ -866,16 +831,6 @@ impl Conn {
 
     fn out_len(&self) -> usize {
         self.out.len() - self.out_pos
-    }
-
-    /// How many of this connection's requests may execute concurrently:
-    /// v1 responses must stay in request order, so one; v2 responses carry
-    /// ids, so the connection's negotiated window may run at once.
-    fn max_in_flight(&self) -> usize {
-        match self.proto {
-            ConnProto::V2 => self.window,
-            ConnProto::V1 | ConnProto::Unknown => 1,
-        }
     }
 
     /// `true` when nothing remains to serve: no in-flight request, no
@@ -1175,40 +1130,17 @@ fn read_ready(conn: &mut Conn) {
     parse_frames(conn);
 }
 
-/// Pulls complete frames out of the decoder, negotiating the protocol
-/// version off the first four bytes. Returns `false` when the connection
-/// turned dead (framing error).
+/// Pulls complete request envelopes out of the decoder. Returns `false`
+/// when the connection turned dead (framing error).
 fn parse_frames(conn: &mut Conn) -> bool {
-    if conn.proto == ConnProto::Unknown {
-        match conn.decoder.peek(4) {
-            Some(head) if head == V2_MAGIC => {
-                conn.decoder.consume(4);
-                conn.proto = ConnProto::V2;
-            }
-            // Anything else is a v1 length prefix (the magic LE-decodes
-            // above MAX_FRAME, so the two cannot collide).
-            Some(_) => conn.proto = ConnProto::V1,
-            // Fewer than four bytes buffered: still ambiguous, wait.
-            None => return true,
-        }
-    }
     loop {
-        let parsed = match conn.proto {
-            ConnProto::V1 => match conn.decoder.next_frame::<Request>() {
-                Ok(Some(req)) => Some((None, req)),
-                Ok(None) => return true,
-                Err(_) => None,
-            },
-            ConnProto::V2 => match conn.decoder.next_frame::<RequestEnvelope>() {
-                Ok(Some(env)) => Some((Some(env.req_id), env.req)),
-                Ok(None) => return true,
-                Err(_) => None,
-            },
-            ConnProto::Unknown => unreachable!("negotiated above"),
-        };
-        let Some((req_id, req)) = parsed else {
-            conn.dead = true;
-            return false;
+        let RequestEnvelope { req_id, req } = match conn.decoder.next_frame() {
+            Ok(Some(env)) => env,
+            Ok(None) => return true,
+            Err(_) => {
+                conn.dead = true;
+                return false;
+            }
         };
         if conn.creds.is_none() {
             // First frame fixes the connection's credentials:
@@ -1232,13 +1164,12 @@ fn parse_frames(conn: &mut Conn) -> bool {
 }
 
 /// Feeds queued requests to the worker pool, up to the connection's
-/// in-flight window (one for v1 — responses stay in request order — the
-/// whole pipeline window for v2).
+/// in-flight window.
 fn dispatch_ready(shared: &Arc<Shared>, reactor: usize, token: u64, conn: &mut Conn) {
     if conn.dead {
         return;
     }
-    while conn.in_flight < conn.max_in_flight() {
+    while conn.in_flight < conn.window {
         let Some((req_id, req)) = conn.pending.pop_front() else {
             return;
         };

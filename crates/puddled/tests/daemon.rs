@@ -5,7 +5,11 @@ use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
 use puddles_logfmt::{
     EntryKind, LogRef, LogSpaceRef, ReplayOrder, RANGE_DONE, RANGE_EXEC, SEQ_UNDO,
 };
-use puddles_proto::{Credentials, Endpoint, ErrorCode, PuddleId, PuddlePurpose, Request, Response};
+use puddles_proto::{
+    Credentials, Endpoint, ErrorCode, PuddleId, PuddlePurpose, Request, RequestEnvelope, Response,
+    ResponseEnvelope,
+};
+use std::os::unix::net::UnixStream;
 
 const USER_A: Credentials = Credentials {
     uid: 1000,
@@ -20,6 +24,23 @@ fn start_daemon() -> (tempfile::TempDir, Daemon) {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     (tmp, daemon)
+}
+
+/// One enveloped round trip on a raw socket; the reply must echo `req_id`.
+fn round_trip(stream: &mut UnixStream, req_id: u64, req: Request) -> std::io::Result<Response> {
+    puddles_proto::write_frame(stream, &RequestEnvelope { req_id, req })?;
+    let env: ResponseEnvelope = puddles_proto::read_frame(stream)?;
+    assert_eq!(env.req_id, req_id, "{:?}", env.resp);
+    Ok(env.resp)
+}
+
+/// Connects a raw socket and handshakes with an enveloped `Hello` (id 1).
+fn raw_hello(socket: &std::path::Path) -> UnixStream {
+    let mut stream = UnixStream::connect(socket).unwrap();
+    let hello = Request::hello(Credentials::current_process());
+    let resp = round_trip(&mut stream, 1, hello).unwrap();
+    assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    stream
 }
 
 fn expect_puddle(resp: Response) -> puddles_proto::PuddleInfo {
@@ -644,25 +665,18 @@ fn uds_server_answers_requests_from_another_connection() {
     let socket = tmp.path().join("puddled.sock");
     let mut server = puddled::UdsServer::start(daemon.clone(), &socket).unwrap();
 
-    let stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
-    let mut reader = stream.try_clone().unwrap();
-    let mut writer = stream;
-    puddles_proto::write_frame(&mut writer, &Request::hello(Credentials::current_process()))
-        .unwrap();
-    let resp: Response = puddles_proto::read_frame(&mut reader).unwrap();
-    assert!(matches!(resp, Response::Welcome { .. }));
-
-    puddles_proto::write_frame(
-        &mut writer,
-        &Request::CreatePool {
+    let mut stream = raw_hello(&socket);
+    let resp = round_trip(
+        &mut stream,
+        2,
+        Request::CreatePool {
             name: "over-uds".into(),
             root_size: 1 << 20,
             mode: 0o600,
         },
     )
     .unwrap();
-    let resp: Response = puddles_proto::read_frame(&mut reader).unwrap();
-    assert!(matches!(resp, Response::Pool(_)));
+    assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
 
     // The pool is visible through the in-process endpoint too.
     let pool = daemon.handle(
@@ -728,19 +742,8 @@ fn concurrent_clients_create_pools_transact_and_translate() {
             // the in-process global-space reservation).
             let client = PuddleClient::connect_uds_shared(&socket, gspace).unwrap();
             // A second raw connection for protocol-level lookups.
-            let ep = {
-                let stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
-                let mut reader = stream.try_clone().unwrap();
-                let mut writer = stream;
-                puddles_proto::write_frame(
-                    &mut writer,
-                    &Request::hello(Credentials::current_process()),
-                )
-                .unwrap();
-                let _: Response = puddles_proto::read_frame(&mut reader).unwrap();
-                (reader, writer)
-            };
-            let (mut reader, mut writer) = ep;
+            let mut raw = raw_hello(&socket);
+            let mut req_id = 1;
 
             barrier.wait();
             let pool = client
@@ -760,12 +763,9 @@ fn concurrent_clients_create_pools_transact_and_translate() {
                 // Interleave read-mostly translation lookups: these run
                 // under the puddle table's shared read lock.
                 for _ in 0..LOOKUPS_PER_TX {
-                    puddles_proto::write_frame(
-                        &mut writer,
-                        &Request::GetRelocation { id: root_puddle },
-                    )
-                    .unwrap();
-                    match puddles_proto::read_frame(&mut reader).unwrap() {
+                    req_id += 1;
+                    let lookup = Request::GetRelocation { id: root_puddle };
+                    match round_trip(&mut raw, req_id, lookup).unwrap() {
                         Response::Relocation { needs_rewrite, .. } => {
                             assert!(!needs_rewrite, "fresh pool must not need rewriting")
                         }
@@ -853,24 +853,18 @@ fn shutdown_is_bounded_under_busy_and_stalled_clients() {
     let busy_stop = Arc::clone(&stop);
     let busy_socket = socket.clone();
     let busy = std::thread::spawn(move || {
-        let stream = std::os::unix::net::UnixStream::connect(&busy_socket).unwrap();
-        let mut reader = stream.try_clone().unwrap();
-        let mut writer = stream;
-        puddles_proto::write_frame(&mut writer, &Request::hello(Credentials::current_process()))
-            .unwrap();
-        let _: Response = puddles_proto::read_frame(&mut reader).unwrap();
+        let mut stream = raw_hello(&busy_socket);
+        let mut req_id = 1;
         while !busy_stop.load(Ordering::SeqCst) {
-            if puddles_proto::write_frame(&mut writer, &Request::Ping).is_err() {
-                break;
-            }
-            if puddles_proto::read_frame::<_, Response>(&mut reader).is_err() {
+            req_id += 1;
+            if round_trip(&mut stream, req_id, Request::Ping).is_err() {
                 break;
             }
         }
     });
 
     // Stalled client: sends half a length prefix and goes silent.
-    let mut stalled = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    let mut stalled = UnixStream::connect(&socket).unwrap();
     stalled.write_all(&[0x10, 0x00]).unwrap();
 
     std::thread::sleep(Duration::from_millis(100));

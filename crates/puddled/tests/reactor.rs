@@ -2,18 +2,19 @@
 //! isolation, connection counts beyond the old thread cap, half-close
 //! semantics, the background checkpoint path (async landing, drain on
 //! shutdown, forced-inline fallback, crash during a background checkpoint),
-//! and the protocol-v2 runtime (v1/v2 coexistence, out-of-order completion
-//! across dispatch lanes, pipelined backpressure, cross-reactor shutdown,
-//! `Busy` rejection at the connection cap).
+//! and the pipelined runtime (foreign framing isolated per connection,
+//! out-of-order completion across dispatch lanes, pipelined backpressure,
+//! cross-reactor shutdown, `Busy` rejection at the connection cap).
 
 use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
 use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
-use puddles_proto::frame::V2_MAGIC;
+use puddles_proto::frame::encode_frame;
 use puddles_proto::{
     read_frame, write_frame, Credentials, PtrField, PtrMapDecl, Request, RequestEnvelope, Response,
-    ServerFrame,
+    ResponseEnvelope,
 };
-use std::io::Write;
+use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,26 +27,17 @@ fn start_server() -> (tempfile::TempDir, Daemon, UdsServer, std::path::PathBuf) 
     (tmp, daemon, server, socket)
 }
 
+/// Connects and handshakes: an enveloped `Hello` (id 1), checking the
+/// echoed envelope.
 fn hello(socket: &std::path::Path) -> UnixStream {
     let mut stream = UnixStream::connect(socket).unwrap();
-    write_frame(&mut stream, &Request::hello(Credentials::current_process())).unwrap();
-    let resp: Response = read_frame(&mut stream).unwrap();
-    assert!(matches!(resp, Response::Welcome { .. }));
-    stream
-}
-
-/// Opens a protocol-v2 connection: sends the version preamble, then an
-/// enveloped `Hello` (id 0) and checks the echoed envelope.
-fn hello_v2(socket: &std::path::Path) -> UnixStream {
-    let mut stream = UnixStream::connect(socket).unwrap();
-    stream.write_all(&V2_MAGIC).unwrap();
     write_env(
         &mut stream,
-        0,
+        1,
         Request::hello(Credentials::current_process()),
     );
     let (req_id, resp) = read_env(&mut stream);
-    assert_eq!(req_id, 0);
+    assert_eq!(req_id, 1);
     assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
     stream
 }
@@ -55,9 +47,36 @@ fn write_env(stream: &mut UnixStream, req_id: u64, req: Request) {
 }
 
 fn read_env(stream: &mut UnixStream) -> (u64, Response) {
-    match read_frame::<_, ServerFrame>(stream).unwrap() {
-        ServerFrame::Enveloped(env) => (env.req_id, env.resp),
-        ServerFrame::Bare(resp) => panic!("bare frame on a v2 connection: {resp:?}"),
+    let env: ResponseEnvelope = read_frame(stream).unwrap();
+    (env.req_id, env.resp)
+}
+
+/// One enveloped frame's bytes (prefix included).
+fn env_bytes(req_id: u64, req: Request) -> Vec<u8> {
+    encode_frame(&RequestEnvelope { req_id, req }).unwrap()
+}
+
+/// Reads `n` responses (any order), keyed by id; each id must arrive once.
+fn read_envs(stream: &mut UnixStream, n: usize) -> HashMap<u64, Response> {
+    let mut out = HashMap::new();
+    for _ in 0..n {
+        let (req_id, resp) = read_env(stream);
+        assert!(out.insert(req_id, resp).is_none(), "req_id {req_id} twice");
+    }
+    out
+}
+
+/// Reads to the end of `stream`, asserting the daemon closed it without
+/// writing a byte (a reset counts as a close: the daemon may drop a
+/// connection with bytes still queued to it).
+fn assert_closed_without_response(stream: &mut UnixStream) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut rest = Vec::new();
+    match stream.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "unexpected reply bytes: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
     }
 }
 
@@ -84,40 +103,46 @@ fn frames_split_across_write_boundaries_are_served() {
     let (_tmp, _daemon, mut server, socket) = start_server();
     let mut stream = hello(&socket);
 
-    let frame = puddles_proto::frame::encode_frame(&Request::CreatePool {
-        name: "trickle".into(),
-        root_size: 1 << 20,
-        mode: 0o600,
-    })
-    .unwrap();
+    let frame = env_bytes(
+        2,
+        Request::CreatePool {
+            name: "trickle".into(),
+            root_size: 1 << 20,
+            mode: 0o600,
+        },
+    );
     // Trickle the frame: the length prefix split mid-way, then odd chunks.
     for chunk in frame.chunks(3) {
         stream.write_all(chunk).unwrap();
         stream.flush().unwrap();
         std::thread::sleep(Duration::from_millis(2));
     }
-    let resp: Response = read_frame(&mut stream).unwrap();
+    let (req_id, resp) = read_env(&mut stream);
+    assert_eq!(req_id, 2);
     assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
 
-    // Several frames coalesced into one write also all get served, in
-    // order (pipelining through the per-connection queue).
+    // Several frames coalesced into one write also all get served, each
+    // answered once under its own id (pipelining through the
+    // per-connection queue).
     let mut batch = Vec::new();
-    for _ in 0..5 {
-        batch.extend_from_slice(&puddles_proto::frame::encode_frame(&Request::Ping).unwrap());
+    for req_id in 3..8 {
+        batch.extend_from_slice(&env_bytes(req_id, Request::Ping));
     }
-    batch.extend_from_slice(
-        &puddles_proto::frame::encode_frame(&Request::OpenPool {
+    batch.extend_from_slice(&env_bytes(
+        8,
+        Request::OpenPool {
             name: "trickle".into(),
-        })
-        .unwrap(),
-    );
+        },
+    ));
     stream.write_all(&batch).unwrap();
-    for _ in 0..5 {
-        let resp: Response = read_frame(&mut stream).unwrap();
-        assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    let resps = read_envs(&mut stream, 6);
+    for req_id in 3..8 {
+        assert!(
+            matches!(resps[&req_id], Response::Welcome { .. }),
+            "{resps:?}"
+        );
     }
-    let resp: Response = read_frame(&mut stream).unwrap();
-    assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+    assert!(matches!(resps[&8], Response::Pool(_)), "{resps:?}");
     server.shutdown();
 }
 
@@ -150,19 +175,20 @@ fn stalled_reader_does_not_block_other_connections() {
 
     // The stalled peer pipelines 20 fat requests and reads nothing.
     let mut stalled = hello(&socket);
-    const PIPELINED: usize = 20;
+    const PIPELINED: u64 = 20;
     let mut batch = Vec::new();
-    for _ in 0..PIPELINED {
-        batch.extend_from_slice(&puddles_proto::frame::encode_frame(&Request::GetPtrMaps).unwrap());
+    for req_id in 1..=PIPELINED {
+        batch.extend_from_slice(&env_bytes(req_id, Request::GetPtrMaps));
     }
     stalled.write_all(&batch).unwrap();
 
     // Meanwhile a well-behaved peer gets prompt service.
     let mut live = hello(&socket);
-    for _ in 0..20 {
+    for req_id in 2..22 {
         let t0 = Instant::now();
-        write_frame(&mut live, &Request::Ping).unwrap();
-        let resp: Response = read_frame(&mut live).unwrap();
+        write_env(&mut live, req_id, Request::Ping);
+        let (echoed, resp) = read_env(&mut live);
+        assert_eq!(echoed, req_id);
         assert!(matches!(resp, Response::Welcome { .. }));
         assert!(
             t0.elapsed() < Duration::from_secs(2),
@@ -172,8 +198,9 @@ fn stalled_reader_does_not_block_other_connections() {
 
     // The stalled peer's responses were parked, not dropped: reading now
     // yields all 20, each carrying the full 100 maps.
-    for _ in 0..PIPELINED {
-        match read_frame::<_, Response>(&mut stalled).unwrap() {
+    let resps = read_envs(&mut stalled, PIPELINED as usize);
+    for req_id in 1..=PIPELINED {
+        match &resps[&req_id] {
             Response::PtrMaps(maps) => assert_eq!(maps.len(), 100),
             other => panic!("unexpected {other:?}"),
         }
@@ -190,12 +217,13 @@ fn connections_beyond_the_old_thread_cap_are_served() {
     let mut streams: Vec<UnixStream> = (0..CONNS).map(|_| hello(&socket)).collect();
     assert!(server.active_connections() >= CONNS);
     // Every connection stays live and answers across several rounds.
-    for _ in 0..3 {
+    for round in 2..5 {
         for stream in &mut streams {
-            write_frame(stream, &Request::Ping).unwrap();
+            write_env(stream, round, Request::Ping);
         }
         for stream in &mut streams {
-            let resp: Response = read_frame(stream).unwrap();
+            let (req_id, resp) = read_env(stream);
+            assert_eq!(req_id, round);
             assert!(matches!(resp, Response::Welcome { .. }));
         }
     }
@@ -210,17 +238,17 @@ fn half_close_drains_pending_responses() {
     let (_tmp, _daemon, mut server, socket) = start_server();
     let mut stream = hello(&socket);
     let mut batch = Vec::new();
-    for _ in 0..8 {
-        batch.extend_from_slice(&puddles_proto::frame::encode_frame(&Request::Ping).unwrap());
+    for req_id in 2..10 {
+        batch.extend_from_slice(&env_bytes(req_id, Request::Ping));
     }
     stream.write_all(&batch).unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
-    for _ in 0..8 {
-        let resp: Response = read_frame(&mut stream).unwrap();
-        assert!(matches!(resp, Response::Welcome { .. }));
+    let resps = read_envs(&mut stream, 8);
+    for req_id in 2..10 {
+        assert!(matches!(resps[&req_id], Response::Welcome { .. }));
     }
     // Clean EOF after the last response.
-    assert!(read_frame::<_, Response>(&mut stream).is_err());
+    assert!(read_frame::<_, ResponseEnvelope>(&mut stream).is_err());
     server.shutdown();
 }
 
@@ -407,31 +435,37 @@ fn wal_past_hard_ceiling_forces_inline_checkpoint() {
     }
 }
 
-/// A v1 client (bare frames, in-order responses) and a v2 client (enveloped,
-/// pipelined) work side by side against the same daemon: the version is
-/// negotiated per connection off the first bytes, and neither protocol's
-/// traffic corrupts the other's.
+/// Framing the daemon does not speak closes only the connection that sent
+/// it: a bare (un-enveloped) request frame fails envelope decoding, and the
+/// retired `PUD2` version preamble, read as a length prefix, exceeds the
+/// frame cap. Both peers see the connection close with no response, while
+/// a well-formed connection on the same server keeps being served.
 #[test]
-fn v1_client_works_against_a_v2_daemon() {
+fn legacy_or_foreign_framing_closes_only_its_own_connection() {
     let (_tmp, _daemon, mut server, socket) = start_server();
-    let mut v1 = hello(&socket);
-    let mut v2 = hello_v2(&socket);
+    let mut good = hello(&socket);
 
-    // The v2 connection pipelines a burst with distinctive ids.
-    for req_id in 100u64..120 {
-        write_env(&mut v2, req_id, Request::Ping);
-    }
-    // Interleaved v1 round trips stay strictly in order, one at a time.
-    for _ in 0..10 {
-        write_frame(&mut v1, &Request::Ping).unwrap();
-        let resp: Response = read_frame(&mut v1).unwrap();
+    let mut bare = UnixStream::connect(&socket).unwrap();
+    bare.write_all(&encode_frame(&Request::Ping).unwrap())
+        .unwrap();
+    let mut preamble = UnixStream::connect(&socket).unwrap();
+    let mut bytes = b"PUD2".to_vec();
+    bytes.extend_from_slice(&env_bytes(
+        1,
+        Request::hello(Credentials::current_process()),
+    ));
+    preamble.write_all(&bytes).unwrap();
+
+    write_env(&mut good, 2, Request::Ping);
+    assert!(matches!(read_env(&mut good), (2, Response::Welcome { .. })));
+    assert_closed_without_response(&mut bare);
+    assert_closed_without_response(&mut preamble);
+    for req_id in 3..6 {
+        write_env(&mut good, req_id, Request::Ping);
+        let (echoed, resp) = read_env(&mut good);
+        assert_eq!(echoed, req_id);
         assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
     }
-    // Every pipelined response comes back enveloped; ids may arrive in any
-    // order but each appears exactly once.
-    let mut seen: Vec<u64> = (0..20).map(|_| read_env(&mut v2).0).collect();
-    seen.sort_unstable();
-    assert_eq!(seen, (100u64..120).collect::<Vec<_>>());
     server.shutdown();
 }
 
@@ -456,9 +490,9 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
         other => panic!("unexpected {other:?}"),
     }
 
-    let mut v2 = hello_v2(&socket);
+    let mut conn = hello(&socket);
     write_env(
-        &mut v2,
+        &mut conn,
         1,
         Request::ExportPool {
             name: "bulky".into(),
@@ -471,12 +505,12 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
     );
     const PINGS: u64 = 8;
     for req_id in 2..2 + PINGS {
-        write_env(&mut v2, req_id, Request::Ping);
+        write_env(&mut conn, req_id, Request::Ping);
     }
 
     let mut order = Vec::new();
     for _ in 0..1 + PINGS {
-        let (req_id, resp) = read_env(&mut v2);
+        let (req_id, resp) = read_env(&mut conn);
         if req_id == 1 {
             assert!(matches!(resp, Response::Ok), "{resp:?}");
         } else {
@@ -496,7 +530,7 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
     server.shutdown();
 }
 
-/// A pipelined v2 peer that fills the whole request window with fat
+/// A pipelined peer that fills the whole request window with fat
 /// responses and reads nothing must stall only itself (output high-water
 /// drops its read interest); other connections keep sub-second service, and
 /// once the stalled peer reads, all responses arrive intact with each id
@@ -508,7 +542,7 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
     for i in 0..100u64 {
         let decl = PtrMapDecl {
             type_id: 2000 + i,
-            type_name: format!("v2stall::{}::{}", i, "y".repeat(2048)),
+            type_name: format!("pipestall::{}::{}", i, "y".repeat(2048)),
             size: 64,
             fields: vec![PtrField {
                 offset: 8,
@@ -523,25 +557,20 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
 
     // Fill the entire pipeline window (the daemon-side in-flight cap) with
     // ~200 KiB responses: ~12 MiB total, far past the 1 MiB high-water.
-    let mut stalled = hello_v2(&socket);
+    let mut stalled = hello(&socket);
     const DEPTH: u64 = 64;
     let mut batch = Vec::new();
     for req_id in 1..=DEPTH {
-        batch.extend_from_slice(
-            &puddles_proto::frame::encode_frame(&RequestEnvelope {
-                req_id,
-                req: Request::GetPtrMaps,
-            })
-            .unwrap(),
-        );
+        batch.extend_from_slice(&env_bytes(req_id, Request::GetPtrMaps));
     }
     stalled.write_all(&batch).unwrap();
 
     let mut live = hello(&socket);
-    for _ in 0..20 {
+    for req_id in 2..22 {
         let t0 = Instant::now();
-        write_frame(&mut live, &Request::Ping).unwrap();
-        let resp: Response = read_frame(&mut live).unwrap();
+        write_env(&mut live, req_id, Request::Ping);
+        let (echoed, resp) = read_env(&mut live);
+        assert_eq!(echoed, req_id);
         assert!(matches!(resp, Response::Welcome { .. }));
         assert!(
             t0.elapsed() < Duration::from_secs(2),
@@ -582,10 +611,10 @@ fn cross_reactor_shutdown_drains_in_flight_responses() {
     )
     .unwrap();
 
-    // 32 v2 connections land on all four reactors (least-loaded placement:
+    // 32 connections land on all four reactors (least-loaded placement:
     // with a 4096 budget every reactor's slice has room, so the spread is
     // 8 per reactor).
-    let mut streams: Vec<UnixStream> = (0..32).map(|_| hello_v2(&socket)).collect();
+    let mut streams: Vec<UnixStream> = (0..32).map(|_| hello(&socket)).collect();
     assert_eq!(server.active_connections(), 32);
     for (i, stream) in streams.iter_mut().enumerate() {
         write_env(stream, 1000 + i as u64, Request::Ping);
@@ -603,15 +632,16 @@ fn cross_reactor_shutdown_drains_in_flight_responses() {
         assert_eq!(req_id, 1000 + i as u64);
         assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
         // After the drained response the daemon closes cleanly.
-        assert!(read_frame::<_, ServerFrame>(stream).is_err());
+        assert!(read_frame::<_, ResponseEnvelope>(stream).is_err());
     }
     let server = shutdown.join().unwrap();
     assert_eq!(server.active_connections(), 0);
 }
 
 /// At the connection cap the daemon does not silently drop the socket: the
-/// extra client receives a `Busy` error frame before the close, and the
-/// rejection is counted in `Stats`.
+/// extra client receives a `Busy` error before the close — an envelope
+/// with `req_id` 0, since it answers no request — and the rejection is
+/// counted in `Stats`.
 #[test]
 fn connection_cap_rejects_with_a_busy_frame() {
     let tmp = tempfile::tempdir().unwrap();
@@ -634,15 +664,15 @@ fn connection_cap_rejects_with_a_busy_frame() {
     // The fifth connects at the listener but is turned away with a proper
     // error frame — not a bare EOF.
     let mut extra = UnixStream::connect(&socket).unwrap();
-    match read_frame::<_, Response>(&mut extra).unwrap() {
-        Response::Error { code, message } => {
+    match read_env(&mut extra) {
+        (0, Response::Error { code, message }) => {
             assert_eq!(code, puddles_proto::ErrorCode::Busy);
             assert!(message.contains("connection limit"), "{message}");
         }
         other => panic!("unexpected {other:?}"),
     }
     assert!(
-        read_frame::<_, Response>(&mut extra).is_err(),
+        read_frame::<_, ResponseEnvelope>(&mut extra).is_err(),
         "EOF after Busy"
     );
     assert!(stats(&daemon).connections_rejected >= 1);
